@@ -32,7 +32,7 @@ from .diagnostics import (
     compare_states,
     winding,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, CoreSingularityError, DivergenceError
 from .evolution import (
     MatterState,
     Ramp,
@@ -55,7 +55,7 @@ from .outcoupling import (
     output_map,
     time_flux,
 )
-from .two_flavor import evolve_two_flavor
+from .two_flavor import KrylovWork, evolve_two_flavor
 
 __all__ = ["RunReport", "run"]
 
@@ -122,6 +122,8 @@ def _build_scenario(cfg: SimConfig) -> _Scenario:
     grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
     beams = _build_beams(cfg, grid)
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
+    if not rho.any():
+        raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
     traps = np.zeros((5,) + grid.shape)
     trap_residual = 0.0
     if cfg.physics.traps == "engineered":
@@ -196,7 +198,8 @@ def _write_gauge_exports(out: _Out, grid: SpectralGrid, gauge):
 def _loading_rows(rows: list, branch: str, state: MatterState, step: int):
     pops = state.populations()
     rows.append(
-        (branch, step, state.t, state.norm(), *[float(p) for p in pops])
+        (branch, step, state.t, state.norm(), *[float(p) for p in pops],
+         float("nan"), float("nan"))
     )
 
 
@@ -236,7 +239,8 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
         ramp,
         snapshot_cb=snapshot,
     )
-    _loading_rows(rows, "full", result.state, n_steps)
+    if not (every and n_steps % every == 0):
+        _loading_rows(rows, "full", result.state, n_steps)
     return result.state, captured.get("state"), result
 
 
@@ -285,20 +289,19 @@ def _dark_seed(beams: BeamSet, background: np.ndarray):
 
 def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
                           phi2_0, phi3_0, n_steps: int, t0: float):
+    """Drive the reduced run; returns (phi2, phi3, solver work)."""
     grid = scenario.grid
     a_common = vortex_gauge_field(grid, cfg.p1.l)
     zeros = np.zeros(grid.shape)
     every = cfg.run.snapshot_every
 
     def snapshot(i, p2, p3):
-        if every and (i + 1) % every == 0:
-            n2 = float(np.sqrt(grid.integrate(np.abs(p2) ** 2)))
-            n3 = float(np.sqrt(grid.integrate(np.abs(p3) ** 2)))
-            rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
-                         *([float("nan")] * 5), n2, n3))
-            out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
-            out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
+        rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
+                     *([float("nan")] * 5), _flavor_norm(grid, p2), _flavor_norm(grid, p3)))
+        out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
+        out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
 
+    work = KrylovWork()
     phi2, phi3 = evolve_two_flavor(
         phi2_0,
         phi3_0,
@@ -310,21 +313,26 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
         cfg.run.dt,
         n_steps,
         grid,
-        callback=snapshot,
+        callback=snapshot if every else None,
+        every=every or 1,
+        work=work,
     )
-    return phi2, phi3
+    return phi2, phi3, work
 
 
 def _flavor_norm(grid: SpectralGrid, phi) -> float:
     return float(np.sqrt(grid.integrate(np.abs(phi) ** 2)))
 
 
-def _effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, loop, prefix="effective") -> dict:
+def _effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work: KrylovWork, loop,
+                      prefix="effective") -> dict:
     values = {}
     drift2 = abs(_flavor_norm(grid, phi2) - n2_0) / n2_0
     drift3 = abs(_flavor_norm(grid, phi3) - n3_0) / n3_0
     values[f"{prefix}.norm_drift2"] = drift2
     values[f"{prefix}.norm_drift3"] = drift3
+    values[f"{prefix}.krylov_steps"] = work.krylov_steps
+    values[f"{prefix}.matvecs"] = work.matvecs
     for alpha, phi, sign in ((2, phi2, 1), (3, phi3, -1)):
         fld = Field(grid=grid, values=phi)
         w = winding(fld, loop)
@@ -343,12 +351,12 @@ def _run_effective(cfg: SimConfig, out: _Out) -> RunReport:
     phi2_0, phi3_0 = _dark_seed(scenario.beams, np.sqrt(scenario.rho))
     n2_0 = _flavor_norm(grid, phi2_0)
     n3_0 = _flavor_norm(grid, phi3_0)
-    phi2, phi3 = _run_effective_branch(
+    phi2, phi3, work = _run_effective_branch(
         cfg, scenario, out, rows, phi2_0, phi3_0, cfg.run.n_steps, 0.0
     )
     loop = _default_loop(cfg)
     values = {"mode": "effective", "trap_residual": scenario.trap_residual}
-    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, loop))
+    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work, loop))
     xi1, xi2 = xi_ratios(scenario.beams)
     gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
     _write_gauge_exports(out, grid, gauge)
@@ -388,16 +396,16 @@ def _run_compare(cfg: SimConfig, out: _Out) -> RunReport:
     n2_0 = _flavor_norm(grid, phi2_0)
     n3_0 = _flavor_norm(grid, phi3_0)
     if hold_steps > 0:
-        phi2, phi3 = _run_effective_branch(
+        phi2, phi3, work = _run_effective_branch(
             cfg, scenario, out, rows, phi2_0, phi3_0, hold_steps, at_ramp_end.t
         )
     else:
-        phi2, phi3 = phi2_0, phi3_0
+        phi2, phi3, work = phi2_0, phi3_0, KrylovWork()
 
     loop = _default_loop(cfg)
     values = {"mode": "compare", "trap_residual": scenario.trap_residual}
     values.update(_full_values(cfg, scenario, state, result, loop))
-    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, loop))
+    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work, loop))
 
     full2 = Field(grid=grid, values=state.phi[1])
     full3 = Field(grid=grid, values=state.phi[2])
@@ -523,6 +531,9 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
         report = dispatch[cfg.run.mode](cfg, out)
     except ConfigError as exc:
         return RunReport(exit_code=2, values={"error": f"config: {exc}"}, out_dir=directory)
+    except CoreSingularityError as exc:
+        return RunReport(exit_code=2, values={"error": f"core singularity: {exc}"},
+                         out_dir=directory)
     except DivergenceError as exc:
         return RunReport(exit_code=3, values={"error": f"divergence: {exc}"}, out_dir=directory)
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from vxsim import two_flavor
 from vxsim._fft import fft2, ifft2
-from vxsim.errors import CoreSingularityError
+from vxsim.errors import CoreSingularityError, DivergenceError
 from vxsim.gauge import vortex_gauge_field
 from vxsim.grid import Field, make_grid
 from vxsim.diagnostics import LoopSpec, winding
-from vxsim.two_flavor import evolve_two_flavor
+from vxsim.two_flavor import KrylovWork, evolve_two_flavor
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,8 @@ def test_argument_validation(grid32):
         evolve_two_flavor(psi, psi, zeros2(grid32) + 0.1j, z, z, z, 0.0, 0.01, 1, grid32)
     with pytest.raises(ValueError, match="both a2 and a3"):
         evolve_two_flavor(psi, psi, None, z, z, z, 0.0, 0.01, 1, grid32, a2=zeros2(grid32))
+    with pytest.raises(ValueError, match="every"):
+        evolve_two_flavor(psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32, every=0)
 
 
 def test_callback_sequence(grid32):
@@ -168,3 +171,59 @@ def test_callback_sequence(grid32):
     )
     assert [i for i, _ in seen] == [0, 1, 2, 3]
     assert all(s == grid32.shape for _, s in seen)
+
+
+def _every_step(grid, background, n_steps, work=None):
+    """Reference path: a callback at every step pins a Krylov advance to each dt."""
+    seed, vg, veff, rho = background
+    seen = []
+    out = evolve_two_flavor(
+        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, n_steps, grid,
+        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())), work=work,
+    )
+    return out, seen
+
+
+def test_one_advance_matches_every_step(grid64, vortex_background):
+    seed, vg, veff, rho = vortex_background
+    (ref2, ref3), _ = _every_step(grid64, vortex_background, 100)
+    p2, p3 = evolve_two_flavor(seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64)
+    assert np.abs(p2 - ref2).max() < 1e-12
+    assert np.abs(p3 - ref3).max() < 1e-12
+
+
+def test_callback_every_fires_on_its_steps(grid64, vortex_background):
+    seed, vg, veff, rho = vortex_background
+    _, ref = _every_step(grid64, vortex_background, 23)
+    seen = []
+    evolve_two_flavor(
+        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 23, grid64,
+        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())), every=5,
+    )
+    assert [i for i, _, _ in seen] == [4, 9, 14, 19]
+    for i, p2, p3 in seen:
+        _, r2, r3 = ref[i]
+        assert np.abs(p2 - r2).max() < 1e-12
+        assert np.abs(p3 - r3).max() < 1e-12
+
+
+def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
+    seed, vg, veff, rho = vortex_background
+    stepped = KrylovWork()
+    _every_step(grid64, vortex_background, 100, work=stepped)
+    held = KrylovWork()
+    evolve_two_flavor(
+        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
+    )
+    assert stepped.krylov_steps == 200
+    assert 0 < held.matvecs <= stepped.matvecs // 2
+    assert held.matvecs <= two_flavor._LANCZOS_MAX * held.krylov_steps
+
+
+def test_collapsed_krylov_step_raises(grid32, monkeypatch):
+    # a two-vector basis cannot reach the tolerance over any useful step
+    monkeypatch.setattr(two_flavor, "_LANCZOS_MAX", 2)
+    psi0 = np.exp(-(grid32.r_map**2) / (2.0 * 1.5**2)).astype(complex)
+    z = np.zeros(grid32.shape)
+    with pytest.raises(DivergenceError, match="collapsed"):
+        evolve_two_flavor(psi0, psi0, zeros2(grid32), z, z, z, 0.0, 0.1, 1, grid32)
