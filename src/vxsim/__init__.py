@@ -20,7 +20,6 @@ from .diagnostics import (
     circulation,
     compare_states,
     loop_integral,
-    populations,
     winding,
 )
 from .errors import (
@@ -130,7 +129,6 @@ __all__ = [
     "output_field",
     "output_map",
     "parse_config",
-    "populations",
     "qp_cancel_potential",
     "rabi_field",
     "read_field",

@@ -27,7 +27,6 @@ __all__ = [
     "loop_integral",
     "analytic_state",
     "compare_states",
-    "populations",
 ]
 
 #: phase is considered undefined below this fraction of the field's peak
@@ -284,8 +283,3 @@ def compare_states(
         windings_a=wa,
         windings_b=wb,
     )
-
-
-def populations(state) -> np.ndarray:
-    """Integrated populations of the five components."""
-    return state.populations()

@@ -145,19 +145,15 @@ class _LocalHamiltonian:
 
     Caches the complex Rabi fields of a BeamSet; the ramp enters as a scalar
     ``scale`` on the probe pair.  The mean field uses the total density of the
-    three lower components at the pre-step time.  ``asymmetric_mean_field=True``
-    moves the mean-field bracket of the two meta-stable rows off their
-    diagonal onto the ground-field coupling, which is non-Hermitian and does
-    not conserve the norm; it exists for demonstration only.
+    three lower components at the pre-step time.
     """
 
-    def __init__(self, beams: BeamSet, asymmetric_mean_field: bool = False):
+    def __init__(self, beams: BeamSet):
         self.op1 = beams.omega_p1()
         self.op2 = beams.omega_p2()
         self.oc1 = beams.omega_c1()
         self.oc2 = beams.omega_c2()
         self.eps = (beams.eps12, beams.eps13, beams.eps14, beams.eps15)
-        self.asymmetric_mean_field = asymmetric_mean_field
 
     def diagonal(self, state: MatterState) -> np.ndarray:
         dens = state.densities()
@@ -166,16 +162,10 @@ class _LocalHamiltonian:
         diag = np.empty((5,) + state.grid.shape)
         mf = state.u * rho_low
         diag[0] = state.traps[0] + mf
-        if self.asymmetric_mean_field:
-            # asymmetric variant: no diagonal mean field on rows 2, 3
-            diag[1] = e12 + state.traps[1]
-            diag[2] = e13 + state.traps[2]
-        else:
-            diag[1] = e12 + state.traps[1] + mf
-            diag[2] = e13 + state.traps[2] + mf
+        diag[1] = e12 + state.traps[1] + mf
+        diag[2] = e13 + state.traps[2] + mf
         diag[3] = e14 + state.traps[3]
         diag[4] = e15 + state.traps[4]
-        self._mf = mf
         return diag
 
     def matvec(self, v: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
@@ -187,15 +177,10 @@ class _LocalHamiltonian:
         out[2] = diag[2] * v[2] + np.conj(self.oc2) * v[4]
         out[3] = diag[3] * v[3] + op1 * v[0] + self.oc1 * v[1]
         out[4] = diag[4] * v[4] + op2 * v[0] + self.oc2 * v[2]
-        if self.asymmetric_mean_field:
-            out[1] += self._mf * v[0]
-            out[2] += self._mf * v[0]
         return out
 
     def dense(self, state: MatterState, scale: float) -> np.ndarray:
         """Explicit (nx*ny, 5, 5) matrices for the eigh engine."""
-        if self.asymmetric_mean_field:
-            raise ValueError("asymmetric mean-field matrix is non-Hermitian; use engine='series'")
         diag = self.diagonal(state)
         n = state.grid.nx * state.grid.ny
         m = np.zeros((n, 5, 5), dtype=np.complex128)
@@ -257,17 +242,16 @@ def local_step(
     dt: float,
     scale: float = 1.0,
     engine: str = "series",
-    asymmetric_mean_field: bool = False,
 ) -> MatterState:
     """Apply the pointwise internal-level propagator ``exp(-i*dt*(H+D))``.
 
     ``engine="series"`` (default) applies an adaptively truncated power
-    series, exact at working precision for dt at the advisory scale and valid
-    for the non-Hermitian asymmetric mode as well; ``engine="eigh"`` uses batched
-    unitary diagonalization (several times slower, Hermitian only).  Both
-    agree to 1e-12; the default is chosen for the runtime budget.
+    series, exact at working precision for dt at the advisory scale;
+    ``engine="eigh"`` uses batched unitary diagonalization (several times
+    slower).  Both agree to 1e-12; the default is chosen for the runtime
+    budget.
     """
-    ham = _LocalHamiltonian(beams, asymmetric_mean_field=asymmetric_mean_field)
+    ham = _LocalHamiltonian(beams)
     _apply_local(ham, state, dt, scale, engine)
     return state
 
@@ -292,7 +276,6 @@ def step(
     dt: float,
     scale: float = 1.0,
     engine: str = "series",
-    asymmetric_mean_field: bool = False,
     _half_kinetic: np.ndarray | None = None,
     _ham: _LocalHamiltonian | None = None,
     _step_index: int | None = None,
@@ -303,7 +286,7 @@ def step(
     :class:`~vxsim.errors.DivergenceError` if non-finite values appear.
     """
     half = _half_kinetic if _half_kinetic is not None else _kinetic_phase(state.grid, dt)
-    ham = _ham if _ham is not None else _LocalHamiltonian(beams, asymmetric_mean_field=asymmetric_mean_field)
+    ham = _ham if _ham is not None else _LocalHamiltonian(beams)
     state.phi = ifft2(half * fft2(state.phi))
     _apply_local(ham, state, dt, scale, engine)
     state.phi = ifft2(half * fft2(state.phi))
@@ -356,7 +339,6 @@ def run_adiabatic_loading(
     n_steps: int,
     ramp: Ramp,
     engine: str = "series",
-    asymmetric_mean_field: bool = False,
     fidelity_floor: float = 0.9,
     snapshot_cb=None,
 ) -> LoadingResult:
@@ -373,7 +355,7 @@ def run_adiabatic_loading(
         raise ValueError("n_steps must be positive")
     norm0 = state.norm()
     half = _kinetic_phase(state.grid, dt)
-    ham = _LocalHamiltonian(beams, asymmetric_mean_field=asymmetric_mean_field)
+    ham = _LocalHamiltonian(beams)
     for i in range(n_steps):
         s = ramp.envelope(state.t + 0.5 * dt)
         step(
@@ -382,7 +364,6 @@ def run_adiabatic_loading(
             dt,
             scale=s,
             engine=engine,
-            asymmetric_mean_field=asymmetric_mean_field,
             _half_kinetic=half,
             _ham=ham,
             _step_index=i,

@@ -1,4 +1,4 @@
-"""Run orchestration: scenario assembly, mode dispatch, artifact export.
+"""Run orchestration: scenario assembly, one dynamics pipeline, artifact export.
 
 Modes:
   full       five-field split-step loading run
@@ -7,17 +7,21 @@ Modes:
              plus analytic-solution comparisons
   outcouple  slow-light delay tables and the exit-face output map
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
-4 hard invariant failure (norm drift).  All artifacts land under the output
-directory with a manifest listing each file's digest and the digest of the
-canonical serialized parameters.
+The first three share one pipeline: the mode only chooses which of the
+five-field and reduced branches run, and whether the comparisons follow.
+
+Exit codes: 0 success, 2 configuration error or any other simulator error
+(:class:`~vxsim.errors.VxsimError`), 3 numerical divergence, 4 hard invariant
+failure (norm drift).  All artifacts land under the output directory with a
+manifest listing each file's digest and the digest of the canonical
+serialized parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +36,24 @@ from .diagnostics import (
     compare_states,
     winding,
 )
-from .errors import ConfigError, CoreSingularityError, DivergenceError
+from .errors import ConfigError, CoreSingularityError, DivergenceError, VxsimError
 from .evolution import (
     MatterState,
     Ramp,
     advisory_dt,
-    dark_state_error,
     initial_state,
     qp_cancel_potential,
     run_adiabatic_loading,
     thomas_fermi_density,
 )
 from .fieldio import write_field
-from .gauge import fill_masked, gauge_potentials, solve_traps, vortex_gauge_field
+from .gauge import (
+    EffectiveGauge,
+    fill_masked,
+    gauge_potentials,
+    solve_traps,
+    vortex_gauge_field,
+)
 from .grid import Field, SpectralGrid, make_grid
 from .outcoupling import (
     EnvelopeHistory,
@@ -61,6 +70,9 @@ __all__ = ["RunReport", "run"]
 
 #: allowed relative norm drift per 1000 steps (hard invariant)
 NORM_DRIFT_PER_KSTEP = 1e-8
+
+# ``values["error"]`` prefix of an exit-2 error; other classes give their name
+_ERROR_PREFIX = {ConfigError: "config", CoreSingularityError: "core singularity"}
 
 
 @dataclass
@@ -93,49 +105,57 @@ class _Scenario:
     rho: np.ndarray
     traps: np.ndarray
     trap_residual: float
+    # dark-state ratios and their gauge data, kept for the reduced branch
+    xi: tuple[np.ndarray, np.ndarray] | None = None
+    gauge: EffectiveGauge | None = None
 
 
 def _build_beams(cfg: SimConfig, grid: SpectralGrid) -> BeamSet:
     def envelope(beam):
         return lg_amplitude(grid.r_map, beam.l, beam.waist, beam.peak)
 
-    return BeamSet(
-        grid=grid,
-        p1=envelope(cfg.p1),
-        p2=envelope(cfg.p2),
-        c1=envelope(cfg.c1),
-        c2=envelope(cfg.c2),
-        l1=cfg.p1.l,
-        l2=cfg.p2.l,
-        kp1=(cfg.p1.kx, cfg.p1.ky),
-        kp2=(cfg.p2.kx, cfg.p2.ky),
-        kc1=(cfg.c1.kx, cfg.c1.ky),
-        kc2=(cfg.c2.kx, cfg.c2.ky),
-        eps12=cfg.eps12,
-        eps13=cfg.eps13,
-        eps14=cfg.eps14,
-        eps15=cfg.eps15,
-    )
+    try:
+        return BeamSet(
+            grid=grid,
+            p1=envelope(cfg.p1),
+            p2=envelope(cfg.p2),
+            c1=envelope(cfg.c1),
+            c2=envelope(cfg.c2),
+            l1=cfg.p1.l,
+            l2=cfg.p2.l,
+            kp1=(cfg.p1.kx, cfg.p1.ky),
+            kp2=(cfg.p2.kx, cfg.p2.ky),
+            kc1=(cfg.c1.kx, cfg.c1.ky),
+            kc2=(cfg.c2.kx, cfg.c2.ky),
+            eps12=cfg.eps12,
+            eps13=cfg.eps13,
+            eps14=cfg.eps14,
+            eps15=cfg.eps15,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"beams: {exc}") from None
 
 
-def _build_scenario(cfg: SimConfig) -> _Scenario:
-    grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
+def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     beams = _build_beams(cfg, grid)
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
-    traps = np.zeros((5,) + grid.shape)
-    trap_residual = 0.0
+    scenario = _Scenario(grid=grid, beams=beams, rho=rho, traps=np.zeros((5,) + grid.shape),
+                         trap_residual=0.0)
     if cfg.physics.traps == "engineered":
         v1 = qp_cancel_potential(grid, rho)
-        traps[0] = v1
-        xi1, xi2 = xi_ratios(beams)
-        gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
+        scenario.traps[0] = v1
+        xi = xi_ratios(beams)
+        gauge = gauge_potentials(*xi, grid, hermitian_mode=True)
         sol = solve_traps(v1, gauge, eps21=-cfg.eps12, eps31=-cfg.eps13, rtol=np.inf)
-        traps[1] = sol.v2
-        traps[2] = sol.v3
-        trap_residual = sol.max_residual
-    return _Scenario(grid=grid, beams=beams, rho=rho, traps=traps, trap_residual=trap_residual)
+        scenario.traps[1] = sol.v2
+        scenario.traps[2] = sol.v3
+        scenario.trap_residual = sol.max_residual
+        # only the reduced branch reads them again; a full run need not hold them
+        if cfg.run.mode != "full":
+            scenario.xi, scenario.gauge = xi, gauge
+    return scenario
 
 
 def _require_degenerate(cfg: SimConfig):
@@ -244,47 +264,19 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
     return result.state, captured.get("state"), result
 
 
-def _full_values(cfg: SimConfig, scenario: _Scenario, state: MatterState, result,
-                 loop: LoopSpec, prefix: str = "full") -> dict:
-    values = {}
-    values[f"{prefix}.t_final"] = state.t
-    values[f"{prefix}.dark_state_error"] = result.dark_state_error
-    values[f"{prefix}.p4"] = result.p4
-    values[f"{prefix}.p5"] = result.p5
-    values[f"{prefix}.norm_drift"] = result.norm_drift
-    for alpha, sign in ((2, 1), (3, -1)):
-        fld = Field(grid=state.grid, values=state.phi[alpha - 1])
+def _winding_values(values: dict, prefix: str, cfg: SimConfig, grid: SpectralGrid,
+                    phi2, phi3, loop: LoopSpec):
+    for alpha, phi, sign in ((2, phi2, 1), (3, phi3, -1)):
+        fld = Field(grid=grid, values=phi)
         w = winding(fld, loop)
         values[f"{prefix}.winding{alpha}"] = w.value
         values[f"{prefix}.winding{alpha}_residual"] = w.residual
         values[f"{prefix}.circulation{alpha}"] = circulation(fld, loop)
         values[f"{prefix}.expected_winding{alpha}"] = sign * cfg.p1.l
-    return values
 
 
 def _drift_ok(drift: float, n_steps: int) -> bool:
     return drift <= NORM_DRIFT_PER_KSTEP * max(n_steps, 1) / 1000.0
-
-
-def _run_full(cfg: SimConfig, out: _Out) -> RunReport:
-    scenario = _build_scenario(cfg)
-    rows: list = []
-    state, _, result = _run_full_branch(cfg, scenario, out, rows, cfg.run.n_steps)
-    loop = _default_loop(cfg)
-    values = {"mode": "full", "trap_residual": scenario.trap_residual}
-    values.update(_full_values(cfg, scenario, state, result, loop))
-    for alpha in (1, 2, 3):
-        out.field(f"phi{alpha}_final.vxf", Field(grid=state.grid, values=state.phi[alpha - 1]))
-    out.text("summary.csv", _summary_csv(rows))
-    code = 0 if _drift_ok(result.norm_drift, cfg.run.n_steps) else 4
-    if code:
-        values["invariant_failure"] = "norm_drift"
-    return RunReport(exit_code=code, values=values)
-
-
-def _dark_seed(beams: BeamSet, background: np.ndarray):
-    xi1, xi2 = xi_ratios(beams)
-    return -xi1 * background, -xi2 * background
 
 
 def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
@@ -324,128 +316,93 @@ def _flavor_norm(grid: SpectralGrid, phi) -> float:
     return float(np.sqrt(grid.integrate(np.abs(phi) ** 2)))
 
 
-def _effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work: KrylovWork, loop,
-                      prefix="effective") -> dict:
-    values = {}
-    drift2 = abs(_flavor_norm(grid, phi2) - n2_0) / n2_0
-    drift3 = abs(_flavor_norm(grid, phi3) - n3_0) / n3_0
-    values[f"{prefix}.norm_drift2"] = drift2
-    values[f"{prefix}.norm_drift3"] = drift3
-    values[f"{prefix}.krylov_steps"] = work.krylov_steps
-    values[f"{prefix}.matvecs"] = work.matvecs
-    for alpha, phi, sign in ((2, phi2, 1), (3, phi3, -1)):
-        fld = Field(grid=grid, values=phi)
-        w = winding(fld, loop)
-        values[f"{prefix}.winding{alpha}"] = w.value
-        values[f"{prefix}.winding{alpha}_residual"] = w.residual
-        values[f"{prefix}.circulation{alpha}"] = circulation(fld, loop)
-        values[f"{prefix}.expected_winding{alpha}"] = sign * cfg.p1.l
-    return values
+def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
+    """Run the five-field branch unless the mode is effective, the reduced
+    branch unless it is full, and the comparisons of the two in compare mode."""
+    mode = cfg.run.mode
+    if mode != "full":
+        _require_degenerate(cfg)
+    scenario = _build_scenario(cfg, grid)
+    n_steps = hold_steps = cfg.run.n_steps
+    ramp_steps = None
+    if mode == "compare":
+        ramp_steps = int(round(cfg.run.ramp_time / cfg.run.dt))
+        if ramp_steps < 1 or ramp_steps > n_steps:
+            raise ConfigError(
+                f"run.ramp_time = {cfg.run.ramp_time} does not fit in "
+                f"run.n_steps = {n_steps} steps of run.dt = {cfg.run.dt}"
+            )
+        hold_steps = n_steps - ramp_steps
 
-
-def _run_effective(cfg: SimConfig, out: _Out) -> RunReport:
-    _require_degenerate(cfg)
-    scenario = _build_scenario(cfg)
-    grid = scenario.grid
-    rows: list = []
-    phi2_0, phi3_0 = _dark_seed(scenario.beams, np.sqrt(scenario.rho))
-    n2_0 = _flavor_norm(grid, phi2_0)
-    n3_0 = _flavor_norm(grid, phi3_0)
-    phi2, phi3, work = _run_effective_branch(
-        cfg, scenario, out, rows, phi2_0, phi3_0, cfg.run.n_steps, 0.0
-    )
     loop = _default_loop(cfg)
-    values = {"mode": "effective", "trap_residual": scenario.trap_residual}
-    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work, loop))
-    xi1, xi2 = xi_ratios(scenario.beams)
-    gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
-    _write_gauge_exports(out, grid, gauge)
-    out.field("eff_phi2_final.vxf", Field(grid=grid, values=phi2))
-    out.field("eff_phi3_final.vxf", Field(grid=grid, values=phi3))
-    out.text("summary.csv", _summary_csv(rows))
-    ok = _drift_ok(values["effective.norm_drift2"], cfg.run.n_steps) and _drift_ok(
-        values["effective.norm_drift3"], cfg.run.n_steps
-    )
-    code = 0 if ok else 4
-    if code:
-        values["invariant_failure"] = "norm_drift"
-    return RunReport(exit_code=code, values=values)
-
-
-def _run_compare(cfg: SimConfig, out: _Out) -> RunReport:
-    _require_degenerate(cfg)
-    scenario = _build_scenario(cfg)
-    grid = scenario.grid
-    ramp_steps = int(round(cfg.run.ramp_time / cfg.run.dt))
-    if ramp_steps < 1 or ramp_steps > cfg.run.n_steps:
-        raise ConfigError(
-            f"run.ramp_time = {cfg.run.ramp_time} does not fit in "
-            f"run.n_steps = {cfg.run.n_steps} steps of run.dt = {cfg.run.dt}"
-        )
-    hold_steps = cfg.run.n_steps - ramp_steps
-
     rows: list = []
-    state, at_ramp_end, result = _run_full_branch(
-        cfg, scenario, out, rows, cfg.run.n_steps, capture_at=ramp_steps
-    )
-    if at_ramp_end is None:
-        at_ramp_end = state
+    values = {"mode": mode, "trap_residual": scenario.trap_residual}
+    gates = []  # (relative norm drift, steps it built up over)
 
-    # reduced branch rides the captured ground component
-    phi2_0, phi3_0 = _dark_seed(scenario.beams, at_ramp_end.phi[0])
-    n2_0 = _flavor_norm(grid, phi2_0)
-    n3_0 = _flavor_norm(grid, phi3_0)
-    if hold_steps > 0:
-        phi2, phi3, work = _run_effective_branch(
-            cfg, scenario, out, rows, phi2_0, phi3_0, hold_steps, at_ramp_end.t
+    if mode != "effective":
+        state, at_ramp_end, result = _run_full_branch(
+            cfg, scenario, out, rows, n_steps, capture_at=ramp_steps
         )
-    else:
+        values["full.t_final"] = state.t
+        values["full.dark_state_error"] = result.dark_state_error
+        values["full.p4"] = result.p4
+        values["full.p5"] = result.p5
+        values["full.norm_drift"] = result.norm_drift
+        _winding_values(values, "full", cfg, grid, state.phi[1], state.phi[2], loop)
+        gates.append((result.norm_drift, n_steps))
+        for alpha in (1, 2, 3):
+            out.field(f"phi{alpha}_final.vxf", Field(grid=grid, values=state.phi[alpha - 1]))
+
+    if mode != "full":
+        # dark-state seed: the static background, or in compare mode the
+        # ground component the full branch held at ramp end
+        if mode == "compare":
+            background, t0 = at_ramp_end.phi[0], at_ramp_end.t
+        else:
+            background, t0 = np.sqrt(scenario.rho), 0.0
+        xi1, xi2 = scenario.xi
+        phi2_0, phi3_0 = -xi1 * background, -xi2 * background
         phi2, phi3, work = phi2_0, phi3_0, KrylovWork()
+        if hold_steps > 0:
+            phi2, phi3, work = _run_effective_branch(
+                cfg, scenario, out, rows, phi2_0, phi3_0, hold_steps, t0
+            )
+        for alpha, phi, phi_0 in ((2, phi2, phi2_0), (3, phi3, phi3_0)):
+            n_0 = _flavor_norm(grid, phi_0)
+            drift = abs(_flavor_norm(grid, phi) - n_0) / n_0
+            values[f"effective.norm_drift{alpha}"] = drift
+            gates.append((drift, hold_steps))
+        values["effective.krylov_steps"] = work.krylov_steps
+        values["effective.matvecs"] = work.matvecs
+        _winding_values(values, "effective", cfg, grid, phi2, phi3, loop)
+        _write_gauge_exports(out, grid, scenario.gauge)
+        out.field("eff_phi2_final.vxf", Field(grid=grid, values=phi2))
+        out.field("eff_phi3_final.vxf", Field(grid=grid, values=phi3))
 
-    loop = _default_loop(cfg)
-    values = {"mode": "compare", "trap_residual": scenario.trap_residual}
-    values.update(_full_values(cfg, scenario, state, result, loop))
-    values.update(_effective_values(cfg, grid, phi2, phi3, n2_0, n3_0, work, loop))
+    if mode == "compare":
+        full_fields = {alpha: Field(grid=grid, values=state.phi[alpha - 1]) for alpha in (2, 3)}
+        for alpha, phi in ((2, phi2), (3, phi3)):
+            rep = compare_states(full_fields[alpha], Field(grid=grid, values=phi), loops=(loop,))
+            values[f"compare{alpha}.l2_error"] = rep.l2_error
+            values[f"compare{alpha}.windings_agree"] = rep.windings_agree
+        for alpha, q in ((2, 1), (3, -1)):
+            phase = AnalyticPhase(q=q, l=cfg.p1.l, u=cfg.physics.u)
+            ana = analytic_state(phase, scenario.beams, scenario.rho, grid, state.t)
+            rep = compare_states(full_fields[alpha], ana, loops=(loop,))
+            values[f"analytic{alpha}.l2_error"] = rep.l2_error
+            values[f"analytic{alpha}.windings_agree"] = rep.windings_agree
 
-    full2 = Field(grid=grid, values=state.phi[1])
-    full3 = Field(grid=grid, values=state.phi[2])
-    rep2 = compare_states(full2, Field(grid=grid, values=phi2), loops=(loop,))
-    rep3 = compare_states(full3, Field(grid=grid, values=phi3), loops=(loop,))
-    values["compare2.l2_error"] = rep2.l2_error
-    values["compare2.windings_agree"] = rep2.windings_agree
-    values["compare3.l2_error"] = rep3.l2_error
-    values["compare3.windings_agree"] = rep3.windings_agree
-
-    for alpha, q in ((2, 1), (3, -1)):
-        phase = AnalyticPhase(q=q, l=cfg.p1.l, u=cfg.physics.u)
-        ana = analytic_state(phase, scenario.beams, scenario.rho, grid, state.t)
-        full_fld = full2 if alpha == 2 else full3
-        rep = compare_states(full_fld, ana, loops=(loop,))
-        values[f"analytic{alpha}.l2_error"] = rep.l2_error
-        values[f"analytic{alpha}.windings_agree"] = rep.windings_agree
-
-    xi1, xi2 = xi_ratios(scenario.beams)
-    gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
-    _write_gauge_exports(out, grid, gauge)
-    for alpha in (1, 2, 3):
-        out.field(f"phi{alpha}_final.vxf", Field(grid=grid, values=state.phi[alpha - 1]))
-    out.field("eff_phi2_final.vxf", Field(grid=grid, values=phi2))
-    out.field("eff_phi3_final.vxf", Field(grid=grid, values=phi3))
     out.text("summary.csv", _summary_csv(rows))
-
-    ok = (
-        _drift_ok(result.norm_drift, cfg.run.n_steps)
-        and _drift_ok(values["effective.norm_drift2"], max(hold_steps, 1))
-        and _drift_ok(values["effective.norm_drift3"], max(hold_steps, 1))
-    )
-    code = 0 if ok else 4
+    code = 0 if all(_drift_ok(drift, steps) for drift, steps in gates) else 4
     if code:
         values["invariant_failure"] = "norm_drift"
     return RunReport(exit_code=code, values=values)
 
 
-def _run_outcouple(cfg: SimConfig, out: _Out) -> RunReport:
-    grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
+def _run_outcouple(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
+    for name in ("p1", "p2"):
+        if getattr(cfg, name).peak == 0.0:
+            raise ConfigError(f"beam.{name}.peak = 0 leaves no probe light to out-couple")
     oc = cfg.outcouple
     params = OutcouplingParams(
         g1=oc.g1,
@@ -506,7 +463,7 @@ def _write_manifest(out: _Out, params_hash: str, report: RunReport):
 
 
 def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = False) -> RunReport:
-    """Execute one configured run; never raises for config/numeric failures.
+    """Execute one configured run; never raises a :class:`~vxsim.errors.VxsimError`.
 
     Outcomes are encoded in :class:`RunReport.exit_code` (0/2/3/4) plus the
     ``error`` entry of the report values when nonzero.
@@ -514,28 +471,29 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
     t_start = time.perf_counter()
     directory = Path(out_dir) if out_dir is not None else Path(cfg.run.out_dir)
     try:
-        grid_cfg = cfg.grid
-        advisory = advisory_dt(make_grid(grid_cfg.nx, grid_cfg.ny, grid_cfg.lx, grid_cfg.ly))
+        grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
+        advisory = advisory_dt(grid)
         if cfg.run.dt > advisory and not override_dt:
             raise ConfigError(
                 f"run.dt = {cfg.run.dt} exceeds the advisory bound {advisory:.6g} "
                 "= min(dx, dy)^2 / pi for this grid; shrink dt or pass --override-dt"
             )
+        # every mode reads windings on this loop; reject it before any stepping
+        try:
+            _default_loop(cfg).points(grid)
+        except ValueError as exc:
+            raise ConfigError(
+                f"physics.tf_radius = {cfg.physics.tf_radius} sets a winding loop "
+                f"the grid cannot hold: {exc}"
+            ) from None
         out = _Out(directory)
-        dispatch = {
-            "full": _run_full,
-            "effective": _run_effective,
-            "compare": _run_compare,
-            "outcouple": _run_outcouple,
-        }
-        report = dispatch[cfg.run.mode](cfg, out)
-    except ConfigError as exc:
-        return RunReport(exit_code=2, values={"error": f"config: {exc}"}, out_dir=directory)
-    except CoreSingularityError as exc:
-        return RunReport(exit_code=2, values={"error": f"core singularity: {exc}"},
-                         out_dir=directory)
+        run_mode = _run_outcouple if cfg.run.mode == "outcouple" else _run_dynamics
+        report = run_mode(cfg, out, grid)
     except DivergenceError as exc:
         return RunReport(exit_code=3, values={"error": f"divergence: {exc}"}, out_dir=directory)
+    except VxsimError as exc:
+        prefix = _ERROR_PREFIX.get(type(exc), type(exc).__name__)
+        return RunReport(exit_code=2, values={"error": f"{prefix}: {exc}"}, out_dir=directory)
 
     report.values["run.seed"] = cfg.run.seed
     report.values["runtime_s"] = time.perf_counter() - t_start

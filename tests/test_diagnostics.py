@@ -8,7 +8,6 @@ from vxsim.diagnostics import (
     analytic_state,
     circulation,
     compare_states,
-    populations,
     winding,
 )
 from vxsim.errors import PhaseUndefinedError
@@ -182,13 +181,3 @@ def test_compare_report_lines(grid64, vortex_field):
     assert float(lines[0].split(" = ")[1]) < 1e-30
     assert "chk.winding_a[0] = 1" in lines
     assert lines[-1] == "chk.windings_agree = true"
-
-
-def test_populations_delegates():
-    class Stub:
-        def populations(self):
-            return np.array([0.5, 0.25, 0.25, 0.0, 0.0])
-
-    np.testing.assert_array_equal(
-        populations(Stub()), [0.5, 0.25, 0.25, 0.0, 0.0]
-    )

@@ -126,25 +126,14 @@ def test_norm_conservation_during_loading(weak_beams64, grid64):
     assert result.n_steps == 50
 
 
-def test_asymmetric_mean_field_breaks_unitarity(uniform_beams, grid16):
+def test_local_step_conserves_norm(uniform_beams, grid16):
     beams = uniform_beams(grid16, c1=1.0)
     state = _blank_state(grid16, u=1.0)
     state.phi[0] = 1.0
     state.phi[1] = 0.5j
     n0 = state.norm()
-    hermitian = state.copy()
-    local_step(state, beams, dt=0.01, asymmetric_mean_field=True)
-    assert abs(state.norm() - n0) / n0 > 1e-4
-    local_step(hermitian, beams, dt=0.01, asymmetric_mean_field=False)
-    assert abs(hermitian.norm() - n0) / n0 < 1e-13
-
-
-def test_asymmetric_mean_field_refuses_eigh(uniform_beams, grid16):
-    beams = uniform_beams(grid16, c1=1.0)
-    state = _blank_state(grid16)
-    state.phi[0] = 1.0
-    with pytest.raises(ValueError, match="non-Hermitian"):
-        local_step(state, beams, dt=0.01, engine="eigh", asymmetric_mean_field=True)
+    local_step(state, beams, dt=0.01)
+    assert abs(state.norm() - n0) / n0 < 1e-13
 
 
 def test_series_divergence_reported(uniform_beams, grid16):

@@ -1,8 +1,11 @@
 import csv
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vxsim.config import parse_config
+from vxsim.config import MODES, TRAP_MODES, parse_config
 from vxsim.runner import run
 from vxsim.two_flavor import _LANCZOS_MAX
 
@@ -13,7 +16,10 @@ physics.tf_radius = 5.0
 run.dt = 0.004
 """
 
-pytestmark = pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning"),
+    pytest.mark.filterwarnings("ignore::vxsim.errors.WeakProbeWarning"),
+]
 
 
 def run_text(tmp_path, text, name="out"):
@@ -31,6 +37,7 @@ def test_empty_background_is_a_config_error(tmp_path, mode):
 
 def test_core_singularity_is_a_config_error(tmp_path):
     text = ("grid.nx = 64\ngrid.ny = 64\ngrid.lx = 0.05\ngrid.ly = 0.05\n"
+            "physics.tf_radius = 0.01\n"
             "run.mode = effective\nrun.dt = 1e-8\nrun.n_steps = 1\n")
     rep = run(parse_config(text), out_dir=tmp_path / "out")
     assert rep.exit_code == 2
@@ -63,3 +70,69 @@ def test_krylov_work_reported_and_repeatable(tmp_path, mode):
     assert (steps, matvecs) == (b.values["effective.krylov_steps"], b.values["effective.matvecs"])
     assert matvecs <= _LANCZOS_MAX * steps
     assert f"effective.matvecs = {matvecs}" in (a.out_dir / "report.txt").read_text()
+
+
+SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
+
+
+@pytest.mark.parametrize("text, cause", [
+    pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nrun.mode = effective\n",
+                 "MaskError", id="zero-probes-mask"),
+    pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nphysics.traps = none\n"
+                 "run.mode = full\n", "PhaseUndefinedError", id="zero-probes-winding"),
+    pytest.param("grid.nx = 16\ngrid.ny = 16\nphysics.tf_radius = 3.0\nrun.mode = full\n"
+                 "run.dt = 0.004\nrun.n_steps = 4\n", "under-resolved", id="loop-16"),
+    pytest.param("grid.nx = 4\ngrid.ny = 4\nrun.mode = full\nrun.dt = 0.004\n"
+                 "run.n_steps = 4\n", "under-resolved", id="loop-4"),
+    pytest.param(SHORT + "beam.c1.peak = 0\nbeam.c2.peak = 0\n",
+                 "control underflows", id="dead-controls"),
+    pytest.param(SHORT + "beam.c1.peak = 1.0\nbeam.c2.peak = 1.0\n",
+                 "ratio_max", id="strong-probes"),
+    pytest.param(SHORT + "beam.p1.peak = 0\nrun.mode = outcouple\n",
+                 "out-couple", id="outcouple-zero-probe"),
+])
+def test_setup_failures_are_exit_2(tmp_path, text, cause):
+    rep = run(parse_config(text), out_dir=tmp_path / "out")
+    assert rep.exit_code == 2
+    assert cause in rep.values["error"]
+
+
+PEAKS = (0.0, 0.3, 1.0)
+
+
+@st.composite
+def run_configs(draw):
+    n = draw(st.sampled_from((16, 32)))
+    p1 = draw(st.sampled_from(PEAKS))
+    p2 = p1 if draw(st.booleans()) else draw(st.sampled_from(PEAKS))
+    # 10 is the default control peak: it keeps every probe peak weak
+    c1 = draw(st.sampled_from(PEAKS + (10.0,)))
+    c2 = c1 if draw(st.booleans()) else draw(st.sampled_from(PEAKS + (10.0,)))
+    lines = [
+        f"grid.nx = {n}",
+        f"grid.ny = {n}",
+        f"physics.tf_radius = {draw(st.sampled_from((3.0, 5.0)))}",
+        f"physics.rho0 = {draw(st.sampled_from((0.0, 0.5, 1.0)))}",
+        f"physics.traps = {draw(st.sampled_from(TRAP_MODES))}",
+        f"beam.p1.peak = {p1}",
+        f"beam.p2.peak = {p2}",
+        f"beam.c1.peak = {c1}",
+        f"beam.c2.peak = {c2}",
+        f"run.mode = {draw(st.sampled_from(MODES))}",
+        "run.dt = 0.004",
+        f"run.n_steps = {draw(st.integers(1, 6))}",
+        # compare needs the ramp to end within the run; 0 and 7 steps do not
+        f"run.ramp_time = {0.004 * draw(st.integers(0, 7))}",
+        f"run.snapshot_every = {draw(st.integers(0, 2))}",
+    ]
+    return parse_config("\n".join(lines) + "\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=run_configs())
+def test_run_maps_every_failure_to_an_exit_code(cfg):
+    with tempfile.TemporaryDirectory() as out_dir:
+        rep = run(cfg, out_dir=out_dir, override_dt=True)
+    assert rep.exit_code in (0, 2, 3, 4)
+    if rep.exit_code:
+        assert rep.values["error"]
