@@ -40,6 +40,7 @@ from .evolution import (
     LoadingResult,
     MatterState,
     Ramp,
+    SplitStepper,
     advisory_dt,
     dark_state_error,
     initial_state,
@@ -99,6 +100,7 @@ __all__ = [
     "RunReport",
     "SimConfig",
     "SpectralGrid",
+    "SplitStepper",
     "TrapSolution",
     "TrapSolveError",
     "VxsimError",

@@ -2,9 +2,11 @@
 
 Strang splitting per step: half a kinetic step applied spectrally to every
 component, one full local step coupling the internal levels pointwise, half a
-kinetic step.  The local Hamiltonian at each grid point is the 5x5 coupling
-matrix of the two probe and two control beams plus a diagonal of detunings,
-traps and mean-field shifts frozen at the pre-step densities.
+kinetic step.  Within a run, the half kinetic steps between two observed
+steps fuse into full ones (:class:`SplitStepper`).  The local Hamiltonian at
+each grid point is the 5x5 coupling matrix of the two probe and two control
+beams plus a diagonal of detunings, traps and mean-field shifts frozen at the
+pre-step densities.
 
 Level ordering everywhere: index 0 is the ground component, 1 and 2 the two
 meta-stable components, 3 and 4 the two excited components.  Probe 1 couples
@@ -33,13 +35,18 @@ __all__ = [
     "thomas_fermi_density",
     "qp_cancel_potential",
     "advisory_dt",
+    "SplitStepper",
     "local_step",
     "step",
     "run_adiabatic_loading",
 ]
 
-#: series engine gives up beyond this many terms (dt far above advisory)
+#: the local series gives up beyond this many terms (dt far above advisory)
 _SERIES_MAX_TERMS = 32
+
+#: grid points per block of the local series: a block's fields, two term
+#: buffers and couplings (about 1.6 MB) fit in a 2 MB L2 cache
+_BLOCK_POINTS = 4096
 
 
 @dataclass
@@ -140,134 +147,134 @@ class Ramp:
         return math.sin(0.5 * math.pi * t / self.ramp_time) ** 2
 
 
-class _LocalHamiltonian:
-    """Per-step pointwise 5x5 Hamiltonian application.
+class SplitStepper:
+    """Strang split-step propagator of one run: ``n_steps`` steps of ``dt``.
 
-    Caches the complex Rabi fields of a BeamSet; the ramp enters as a scalar
-    ``scale`` on the probe pair.  The mean field uses the total density of the
-    three lower components at the pre-step time.
+    A step is half a kinetic step, the pointwise 5x5 propagator and half a
+    kinetic step.  Between observed steps the trailing half of one step and
+    the leading half of the next fuse into one full kinetic step (Bao,
+    Jaksch & Markowich, J. Comput. Phys. 187 (2003) 318): one transform pair
+    per step instead of two.  The field is a whole state only after an
+    observed step, which is the last step and, when ``every`` is positive,
+    each step ``i`` with ``(i + 1) % every == 0``; ``closed`` says whether
+    the latest step was one.
+
+    Built once per run from the beams: holds both kinetic phases and the
+    Rabi fields with their conjugates, pre-scaled by ``-i*dt``.  The ramp
+    enters each step as a scalar ``scale`` on the probe pair.  The mean field
+    uses the total density of the three lower components at the pre-step
+    time.
     """
 
-    def __init__(self, beams: BeamSet):
-        self.op1 = beams.omega_p1()
-        self.op2 = beams.omega_p2()
-        self.oc1 = beams.omega_c1()
-        self.oc2 = beams.omega_c2()
-        self.eps = (beams.eps12, beams.eps13, beams.eps14, beams.eps15)
+    def __init__(self, beams: BeamSet, dt: float, n_steps: int = 1, every: int = 0):
+        if n_steps < 1:
+            raise ValueError("n_steps must be positive")
+        if every < 0:
+            raise ValueError("every must be >= 0")
+        self.dt = dt
+        self.n_steps = n_steps
+        self.every = every
+        self.index = 0
+        self.closed = True
+        k2 = beams.grid.k2
+        self._half = np.exp(-0.25j * k2 * dt)
+        self._full = np.exp(-0.5j * k2 * dt)
+        f = -1j * dt
+        op1, op2 = beams.omega_p1(), beams.omega_p2()
+        oc1, oc2 = beams.omega_c1(), beams.omega_c2()
+        # off-diagonal entries of -i*dt*M: probes at (0, 3), (0, 4), (3, 0),
+        # (4, 0); controls at (1, 3), (2, 4), (3, 1), (4, 2)
+        self._probes = (f * np.conj(op1), f * np.conj(op2), f * op1, f * op2)
+        self._controls = (f * np.conj(oc1), f * np.conj(oc2), f * oc1, f * oc2)
+        self._eps = np.array([0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15])
 
-    def diagonal(self, state: MatterState) -> np.ndarray:
-        dens = state.densities()
-        rho_low = dens[0] + dens[1] + dens[2]
-        e12, e13, e14, e15 = self.eps
-        diag = np.empty((5,) + state.grid.shape)
-        mf = state.u * rho_low
-        diag[0] = state.traps[0] + mf
-        diag[1] = e12 + state.traps[1] + mf
-        diag[2] = e13 + state.traps[2] + mf
-        diag[3] = e14 + state.traps[3]
-        diag[4] = e15 + state.traps[4]
-        return diag
+    def advance(self, state: MatterState, scale: float = 1.0):
+        """Take the run's next step; ``state.t`` advances by ``dt``."""
+        if self.index >= self.n_steps:
+            raise ValueError(f"all {self.n_steps} steps of this stepper are taken")
+        self._kick(state, self._half if self.closed else self._full)
+        self.local(state, scale)
+        last = self.index == self.n_steps - 1
+        self.closed = last or (self.every > 0 and (self.index + 1) % self.every == 0)
+        if self.closed:
+            self._kick(state, self._half)
+        state.t += self.dt
+        self.index += 1
 
-    def matvec(self, v: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
-        op1 = scale * self.op1
-        op2 = scale * self.op2
-        out = np.empty_like(v)
-        out[0] = diag[0] * v[0] + np.conj(op1) * v[3] + np.conj(op2) * v[4]
-        out[1] = diag[1] * v[1] + np.conj(self.oc1) * v[3]
-        out[2] = diag[2] * v[2] + np.conj(self.oc2) * v[4]
-        out[3] = diag[3] * v[3] + op1 * v[0] + self.oc1 * v[1]
-        out[4] = diag[4] * v[4] + op2 * v[0] + self.oc2 * v[2]
-        return out
+    def _kick(self, state: MatterState, phase: np.ndarray):
+        spec = fft2(state.phi)
+        spec *= phase
+        state.phi = ifft2(spec)
 
-    def dense(self, state: MatterState, scale: float) -> np.ndarray:
-        """Explicit (nx*ny, 5, 5) matrices for the eigh engine."""
-        diag = self.diagonal(state)
-        n = state.grid.nx * state.grid.ny
-        m = np.zeros((n, 5, 5), dtype=np.complex128)
-        for a in range(5):
-            m[:, a, a] = diag[a].ravel()
-        op1 = (scale * self.op1).ravel()
-        op2 = (scale * self.op2).ravel()
-        oc1 = self.oc1.ravel()
-        oc2 = self.oc2.ravel()
-        m[:, 3, 0] = op1
-        m[:, 0, 3] = np.conj(op1)
-        m[:, 4, 0] = op2
-        m[:, 0, 4] = np.conj(op2)
-        m[:, 3, 1] = oc1
-        m[:, 1, 3] = np.conj(oc1)
-        m[:, 4, 2] = oc2
-        m[:, 2, 4] = np.conj(oc2)
-        return m
+    def local(self, state: MatterState, scale: float = 1.0):
+        """phi <- exp(-i*dt*M) phi by an adaptively truncated power series.
 
+        Exact to machine precision in the supported regime: dt sits at or
+        below the kinetic advisory, so dt*||M|| << 1 and a handful of terms
+        converge.  The series runs block by block over the grid rows, each
+        block until its own terms fall below the tolerance, so that a
+        block's fields, term buffers and couplings stay in cache across its
+        terms.  Terms are added to ``state.phi`` in place.
+        """
+        phi = state.phi
+        ref = float(np.max(np.abs(phi)))
+        if not np.isfinite(ref):
+            # NaN never satisfies the convergence test; report the real problem
+            raise DivergenceError("non-finite field values", step=self.index)
+        # max(|Re|, |Im|) <= tol/sqrt(2) implies |term| <= tol
+        tol = 1e-16 * ref / math.sqrt(2.0)
+        nx, ny = state.grid.shape
+        # grid sizes are powers of two, so the blocks tile the grid exactly
+        rows = min(nx, max(1, _BLOCK_POINTS // ny))
+        buffers = np.empty((2, 5, rows, ny), dtype=np.complex128)
+        tmp = np.empty((rows, ny), dtype=np.complex128)
+        for start in range(0, nx, rows):
+            self._local_block(state, slice(start, start + rows), scale, buffers, tmp, tol)
 
-def _apply_exp_series(ham: _LocalHamiltonian, state: MatterState, dt: float, scale: float):
-    """phi <- exp(-i*dt*M) phi by an adaptively truncated power series.
-
-    Exact to machine precision in the supported regime: dt sits at or below
-    the kinetic advisory, so dt*||M|| << 1 and a handful of terms converge.
-    """
-    diag = ham.diagonal(state)
-    term = state.phi
-    acc = state.phi.copy()
-    ref = float(np.max(np.abs(acc)))
-    if not np.isfinite(ref):
-        # NaN never satisfies the convergence test; report the real problem
-        raise DivergenceError("non-finite field values")
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = ham.matvec(term, diag, scale) * (-1j * dt / k)
-        acc += term
-        if float(np.max(np.abs(term))) <= 1e-16 * ref:
-            state.phi = acc
-            return
-    raise DivergenceError(
-        "local propagator series did not converge; dt is far above the advisory bound"
-    )
-
-
-def _apply_exp_eigh(ham: _LocalHamiltonian, state: MatterState, dt: float, scale: float):
-    """phi <- exp(-i*dt*M) phi by unitary diagonalization of each 5x5."""
-    m = ham.dense(state, scale)
-    w, vecs = np.linalg.eigh(m)
-    v = state.phi.reshape(5, -1).T[..., None]
-    proj = np.matmul(vecs.conj().transpose(0, 2, 1), v)
-    proj *= np.exp(-1j * dt * w)[..., None]
-    out = np.matmul(vecs, proj)[..., 0]
-    state.phi = np.ascontiguousarray(out.T.reshape(state.phi.shape))
+    def _local_block(self, state, block, scale, buffers, tmp, tol):
+        phi = state.phi[:, block]
+        rho_low = np.zeros(tmp.shape)
+        for p in phi[:3]:
+            rho_low += p.real**2
+            rho_low += p.imag**2
+        diag = state.traps[:, block] + self._eps[:, None, None]
+        diag[:3] += state.u * rho_low
+        diag = diag * (-1j * self.dt)
+        p1c, p2c, p1, p2 = (scale * a[block] for a in self._probes)
+        c1c, c2c, c1, c2 = (a[block] for a in self._controls)
+        couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
+                     (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
+        # term k is built from term k-1 in the other buffer; term 0 is phi
+        src, term = buffers
+        src[...] = phi
+        for k in range(1, _SERIES_MAX_TERMS + 1):
+            np.multiply(diag, src, out=term)
+            for row, coupling, col in couplings:
+                np.multiply(coupling, src[col], out=tmp)
+                term[row] += tmp
+            term *= 1.0 / k
+            phi += term
+            flat = term.view(np.float64)
+            size = max(float(flat.max()), -float(flat.min()))
+            if size <= tol:
+                return
+            if not math.isfinite(size):
+                raise DivergenceError("non-finite field values", step=self.index)
+            src, term = term, src
+        raise DivergenceError(
+            "local propagator series did not converge; dt is far above the advisory bound",
+            step=self.index,
+        )
 
 
-def local_step(
-    state: MatterState,
-    beams: BeamSet,
-    dt: float,
-    scale: float = 1.0,
-    engine: str = "series",
-) -> MatterState:
+def local_step(state: MatterState, beams: BeamSet, dt: float, scale: float = 1.0) -> MatterState:
     """Apply the pointwise internal-level propagator ``exp(-i*dt*(H+D))``.
 
-    ``engine="series"`` (default) applies an adaptively truncated power
-    series, exact at working precision for dt at the advisory scale;
-    ``engine="eigh"`` uses batched unitary diagonalization (several times
-    slower).  Both agree to 1e-12; the default is chosen for the runtime
-    budget.
+    An adaptively truncated power series, exact at working precision for dt
+    at the advisory scale.  Mutates and returns ``state``.
     """
-    ham = _LocalHamiltonian(beams)
-    _apply_local(ham, state, dt, scale, engine)
+    SplitStepper(beams, dt).local(state, scale)
     return state
-
-
-def _apply_local(ham, state, dt, scale, engine):
-    if engine == "series":
-        _apply_exp_series(ham, state, dt, scale)
-    elif engine == "eigh":
-        _apply_exp_eigh(ham, state, dt, scale)
-    else:
-        raise ValueError(f"unknown local-step engine {engine!r}")
-
-
-def _kinetic_phase(grid: SpectralGrid, dt: float) -> np.ndarray:
-    # half-step factor: exp(-i * (k^2/2) * dt/2)
-    return np.exp(-0.25j * grid.k2 * dt)
 
 
 def step(
@@ -275,25 +282,19 @@ def step(
     beams: BeamSet,
     dt: float,
     scale: float = 1.0,
-    engine: str = "series",
-    _half_kinetic: np.ndarray | None = None,
-    _ham: _LocalHamiltonian | None = None,
-    _step_index: int | None = None,
+    stepper: SplitStepper | None = None,
 ) -> MatterState:
-    """One Strang step: half kinetic, local 5x5 propagator, half kinetic.
+    """One split step of ``dt``: half kinetic, local 5x5 propagator, half kinetic.
 
-    Mutates and returns ``state``; ``state.t`` advances by ``dt``.  Raises
+    Mutates and returns ``state``; ``state.t`` advances by ``dt``.  Given a
+    run's ``stepper`` (built from the same ``beams`` and ``dt``), this is
+    that run's next step, whose kinetic halves fuse with its neighbours'
+    unless it is observed (see :class:`SplitStepper`).  Raises
     :class:`~vxsim.errors.DivergenceError` if non-finite values appear.
     """
-    half = _half_kinetic if _half_kinetic is not None else _kinetic_phase(state.grid, dt)
-    ham = _ham if _ham is not None else _LocalHamiltonian(beams)
-    state.phi = ifft2(half * fft2(state.phi))
-    _apply_local(ham, state, dt, scale, engine)
-    state.phi = ifft2(half * fft2(state.phi))
-    state.t += dt
-    peak = float(np.max(np.abs(state.phi)))
-    if not np.isfinite(peak):
-        raise DivergenceError("non-finite field values", step=_step_index)
+    if stepper is None:
+        stepper = SplitStepper(beams, dt)
+    stepper.advance(state, scale)
     return state
 
 
@@ -338,37 +339,32 @@ def run_adiabatic_loading(
     dt: float,
     n_steps: int,
     ramp: Ramp,
-    engine: str = "series",
     fidelity_floor: float = 0.9,
     snapshot_cb=None,
+    every: int = 1,
 ) -> LoadingResult:
     """Ramp the probes up over the dark state and report loading quality.
 
     The envelope is evaluated at the step midpoint (keeps the Strang step
     second order for the time-dependent Hamiltonian).  ``snapshot_cb``, if
-    given, is called as ``snapshot_cb(step_index, state)`` after every step.
+    given, is called as ``snapshot_cb(step_index, state)`` after each
+    observed step: each step ``i`` with ``(i + 1) % every == 0``, and the
+    last step.  Kinetic half-steps fuse between observed steps, so fewer
+    observed steps mean fewer transforms; without ``snapshot_cb`` only the
+    last step is observed.
 
     Emits :class:`~vxsim.errors.AdiabaticityWarning` when the final
     dark-state fidelity ``1 - error`` falls below ``fidelity_floor``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    if every < 1:
+        raise ValueError("every must be >= 1")
     norm0 = state.norm()
-    half = _kinetic_phase(state.grid, dt)
-    ham = _LocalHamiltonian(beams)
+    stepper = SplitStepper(beams, dt, n_steps, every if snapshot_cb is not None else 0)
     for i in range(n_steps):
-        s = ramp.envelope(state.t + 0.5 * dt)
-        step(
-            state,
-            beams,
-            dt,
-            scale=s,
-            engine=engine,
-            _half_kinetic=half,
-            _ham=ham,
-            _step_index=i,
-        )
-        if snapshot_cb is not None:
+        step(state, beams, dt, scale=ramp.envelope(state.t + 0.5 * dt), stepper=stepper)
+        if snapshot_cb is not None and stepper.closed:
             snapshot_cb(i, state)
     s_final = ramp.envelope(state.t)
     err = dark_state_error(state, beams, scale=s_final)

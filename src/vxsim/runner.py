@@ -20,6 +20,7 @@ serialized parameters.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -239,6 +240,9 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
     captured = {}
 
     every = cfg.run.snapshot_every
+    # the stepper fuses kinetic half-steps between observed steps, so the
+    # observed ones must include both the snapshots and the ramp-end capture
+    observe = math.gcd(every, capture_at or 0)
 
     def snapshot(i, st):
         if capture_at is not None and i == capture_at - 1:
@@ -257,7 +261,8 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
         cfg.run.dt,
         n_steps,
         ramp,
-        snapshot_cb=snapshot,
+        snapshot_cb=snapshot if observe else None,
+        every=observe or 1,
     )
     if not (every and n_steps % every == 0):
         _loading_rows(rows, "full", result.state, n_steps)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vxsim.beams import xi_ratios
+import vxsim.evolution as evolution
+from vxsim.beams import lg_beams, xi_ratios
 from vxsim.errors import AdiabaticityWarning, DivergenceError
 from vxsim.evolution import (
     MatterState,
@@ -15,6 +16,17 @@ from vxsim.evolution import (
     step,
     thomas_fermi_density,
 )
+from vxsim.grid import make_grid
+
+
+def _loaded_state(grid, u):
+    """Thomas-Fermi background with traps on every component."""
+    rho = thomas_fermi_density(grid, 1.0, 5.0)
+    traps = np.zeros((5,) + grid.shape)
+    traps[0] = qp_cancel_potential(grid, rho)
+    traps[1] = traps[2] = 0.01 * grid.r_map**2
+    traps[3] = traps[4] = 0.5
+    return initial_state(grid, rho, traps, u)
 
 
 def _blank_state(grid, u=0.0):
@@ -77,14 +89,54 @@ def test_lambda_system_bright_state_oracle(uniform_beams, grid16):
     assert p_e == pytest.approx((op / oeff) ** 2 * np.sin(oeff * state.t) ** 2, abs=1e-10)
 
 
+def _eigh_local_step(state, beams, dt, scale=1.0):
+    """Oracle for the local series: phi <- exp(-i*dt*M) phi by unitary
+    diagonalization of each pointwise 5x5 matrix."""
+    dens = np.abs(state.phi) ** 2
+    mf = state.u * (dens[0] + dens[1] + dens[2])
+    eps = (0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15)
+    n = state.grid.nx * state.grid.ny
+    m = np.zeros((n, 5, 5), dtype=np.complex128)
+    for a in range(5):
+        m[:, a, a] = (eps[a] + state.traps[a] + (mf if a < 3 else 0.0)).ravel()
+    for row, col, omega in ((3, 0, scale * beams.omega_p1()), (4, 0, scale * beams.omega_p2()),
+                            (3, 1, beams.omega_c1()), (4, 2, beams.omega_c2())):
+        m[:, row, col] = omega.ravel()
+        m[:, col, row] = np.conj(omega).ravel()
+    w, vecs = np.linalg.eigh(m)
+    v = state.phi.reshape(5, -1).T[..., None]
+    proj = np.matmul(vecs.conj().transpose(0, 2, 1), v)
+    proj *= np.exp(-1j * dt * w)[..., None]
+    out = np.matmul(vecs, proj)[..., 0]
+    state.phi = np.ascontiguousarray(out.T.reshape(state.phi.shape))
+
+
+def _oracle_step(state, beams, dt, scale):
+    half = np.exp(-0.25j * state.grid.k2 * dt)
+    state.phi = np.fft.ifft2(half * np.fft.fft2(state.phi))
+    _eigh_local_step(state, beams, dt, scale)
+    state.phi = np.fft.ifft2(half * np.fft.fft2(state.phi))
+
+
 def test_engines_agree(weak_beams64, grid64):
-    rho = thomas_fermi_density(grid64, 1.0, 5.0)
-    a = initial_state(grid64, rho, np.zeros((5,) + grid64.shape), 0.4)
-    b = a.copy()
-    for _ in range(5):
-        step(a, weak_beams64, 0.004, engine="series")
-        step(b, weak_beams64, 0.004, engine="eigh")
-    assert np.max(np.abs(a.phi - b.phi)) < 1e-12
+    grid32 = make_grid(32, 32, 16.0, 16.0)
+    # the standard weak pair, and the acceptance strengths (controls 12,
+    # probes 0.8) with tilted controls and level shifts, so that every
+    # coupling is complex and every detuning non-zero
+    acceptance = lg_beams(grid32, l1=1, l2=-1, probe_peak=0.8, probe_waist=2.0,
+                          control_peak=12.0, control_waist=6.0, kc1=(0.4, 0.0),
+                          kc2=(0.0, -0.4), eps12=0.02, eps13=-0.03, eps14=0.5, eps15=-0.4)
+    for grid, beams, u in ((grid64, weak_beams64, 0.4), (grid32, acceptance, 0.02)):
+        a = _loaded_state(grid, u)
+        # populate every level so that every coupling acts
+        for level in range(1, 5):
+            a.phi[level] = 0.1 * np.exp(1j * level * grid.phi_map) * a.phi[0]
+        b = a.copy()
+        for k in range(5):
+            scale = 0.6 + 0.1 * k
+            step(a, beams, 0.004, scale=scale)
+            _oracle_step(b, beams, 0.004, scale)
+        assert np.max(np.abs(a.phi - b.phi)) <= 1e-12 * np.max(np.abs(b.phi))
 
 
 def test_dark_state_is_local_fixed_point(weak_beams64, grid64):
@@ -151,13 +203,6 @@ def test_step_flags_nonfinite(uniform_beams, grid16):
     state.phi[0, 3, 3] = np.nan
     with pytest.raises(DivergenceError, match="non-finite"):
         step(state, beams, 0.01)
-
-
-def test_unknown_engine(uniform_beams, grid16):
-    beams = uniform_beams(grid16)
-    state = _blank_state(grid16)
-    with pytest.raises(ValueError, match="engine"):
-        local_step(state, beams, 0.01, engine="cayley")
 
 
 def test_ramp_profile():
@@ -243,3 +288,63 @@ def test_fast_ramp_warns(uniform_beams, grid16):
     state.phi[0] = 1.0
     with pytest.warns(AdiabaticityWarning):
         run_adiabatic_loading(state, beams, dt=0.01, n_steps=5, ramp=Ramp(0.05))
+
+
+@pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning")
+def test_fused_loading_matches_closed_steps(weak_beams64, grid64):
+    # the ramp stays live over all 23 steps
+    dt, n, ramp = 0.004, 23, Ramp(0.2)
+    ref = _loaded_state(grid64, 0.4)
+    closed = []
+    for _ in range(n):
+        step(ref, weak_beams64, dt, scale=ramp.envelope(ref.t + 0.5 * dt))
+        closed.append(ref.copy())
+    seen = {}
+
+    def record(i, st):
+        seen[i] = st.copy()
+
+    fused = _loaded_state(grid64, 0.4)
+    run_adiabatic_loading(fused, weak_beams64, dt, n, ramp, snapshot_cb=record, every=5)
+    assert sorted(seen) == [4, 9, 14, 19, 22]
+    for i, st in seen.items():
+        assert st.t == pytest.approx(closed[i].t, rel=1e-15)
+        assert np.max(np.abs(st.phi - closed[i].phi)) <= 1e-12 * np.max(np.abs(closed[i].phi))
+    assert np.max(np.abs(closed[-1].phi[1])) > 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning")
+@pytest.mark.parametrize("every, pairs", [(None, 24), (5, 28)])
+def test_fused_loading_transform_count(monkeypatch, weak_beams64, grid64, every, pairs):
+    # one transform pair per step, plus the trailing half kick of each of
+    # the observed steps: the last alone, or 4, 9, 14, 19 and 22
+    calls = {"fft2": 0, "ifft2": 0}
+    for name in calls:
+        def counted(a, _fn=getattr(evolution, name), _name=name):
+            calls[_name] += 1
+            return _fn(a)
+
+        monkeypatch.setattr(evolution, name, counted)
+    observe = {} if every is None else {"snapshot_cb": lambda i, st: None, "every": every}
+    run_adiabatic_loading(_loaded_state(grid64, 0.4), weak_beams64, 0.004, 23, Ramp(0.2),
+                          **observe)
+    assert calls == {"fft2": pairs, "ifft2": pairs}
+
+
+def test_fused_step_divergence_names_its_step(monkeypatch, weak_beams64, grid64):
+    # without a callback every step but the first and last opens with one
+    # fused kinetic step; the 8th inverse transform is the kick of step 7
+    real = evolution.ifft2
+    count = [0]
+
+    def poisoned(a):
+        out = real(a)
+        count[0] += 1
+        if count[0] == 8:
+            out[0, 3, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(evolution, "ifft2", poisoned)
+    with pytest.raises(DivergenceError, match="non-finite") as exc:
+        run_adiabatic_loading(_loaded_state(grid64, 0.4), weak_beams64, 0.004, 20, Ramp(0.2))
+    assert exc.value.step == 7

@@ -1,10 +1,13 @@
 import csv
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vxsim.evolution as evolution
+import vxsim.runner as runner
 from vxsim.config import MODES, TRAP_MODES, parse_config
 from vxsim.runner import run
 from vxsim.two_flavor import _LANCZOS_MAX
@@ -70,6 +73,36 @@ def test_krylov_work_reported_and_repeatable(tmp_path, mode):
     assert (steps, matvecs) == (b.values["effective.krylov_steps"], b.values["effective.matvecs"])
     assert matvecs <= _LANCZOS_MAX * steps
     assert f"effective.matvecs = {matvecs}" in (a.out_dir / "report.txt").read_text()
+
+
+def test_snapshots_off_the_ramp_end_leave_the_comparison_unchanged(tmp_path):
+    # 7 does not divide the 12 ramp steps: every step is observed, where
+    # without snapshots only the ramp end and the last step are
+    text = "run.mode = compare\nrun.n_steps = 24\nrun.ramp_time = 0.048\n"
+    fused = run_text(tmp_path, text + "run.snapshot_every = 0\n", "fused")
+    observed = run_text(tmp_path, text + "run.snapshot_every = 7\n", "observed")
+    assert fused.exit_code == observed.exit_code == 0
+    for key in ("compare2.l2_error", "compare3.l2_error", "analytic2.l2_error",
+                "analytic3.l2_error", "full.dark_state_error"):
+        assert observed.values[key] == pytest.approx(fused.values[key], rel=1e-12, abs=1e-12)
+    for alpha in (1, 2, 3):
+        assert (observed.out_dir / f"phi{alpha}_00007.vxf").is_file()
+
+
+def test_loading_calls_through_traced_module_names(tmp_path, monkeypatch):
+    # bench/spans.py counts five-field work by rebinding these module-level
+    # names; calls that bypass them would read as zero work
+    calls = Counter()
+    for module, name in ((runner, "run_adiabatic_loading"), (evolution, "step"),
+                         (evolution, "fft2"), (evolution, "ifft2")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = run_text(tmp_path, "run.mode = full\nrun.n_steps = 9\nrun.ramp_time = 0.02\n")
+    assert rep.exit_code == 0
+    assert calls == {"run_adiabatic_loading": 1, "step": 9, "fft2": 10, "ifft2": 10}
 
 
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
