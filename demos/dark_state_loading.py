@@ -48,7 +48,7 @@ def progress(i, st):
 
 # observing every 100th step lets the 99 steps between fuse their kinetic halves
 result = run_adiabatic_loading(state, beams, 0.01, 600, ramp,
-                               snapshot_cb=progress, every=100)
+                               snapshot_cb=progress, observe=range(100, 601, 100))
 
 print()
 print(f"dark-state error : {result.dark_state_error:.2e}")

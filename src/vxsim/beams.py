@@ -26,8 +26,8 @@ __all__ = [
     "validity_metric",
 ]
 
-#: hard ceiling on probe/control amplitude ratio unless overridden
-DEFAULT_RATIO_MAX = 0.3
+#: hard ceiling on probe/control amplitude ratio
+RATIO_MAX = 0.3
 #: ratios above this are allowed but drift outside the weak-probe regime
 RATIO_WARN = 0.1
 #: control amplitudes below this trigger the division guard in xi_ratios
@@ -72,7 +72,7 @@ class BeamSet:
     ``eps14``/``eps15`` sit on the diagonal of the coupling matrix.
 
     Construction enforces the weak-probe contract: the pointwise
-    probe/control ratio must stay at or below ``ratio_max`` (default 0.3), and
+    probe/control ratio must stay at or below ``RATIO_MAX`` (0.3), and
     a :class:`~vxsim.errors.WeakProbeWarning` is emitted above 0.1.
     """
 
@@ -91,7 +91,6 @@ class BeamSet:
     eps13: float = 0.0
     eps14: float = 0.0
     eps15: float = 0.0
-    ratio_max: float = DEFAULT_RATIO_MAX
 
     def __post_init__(self):
         for name in ("p1", "p2", "c1", "c2"):
@@ -109,9 +108,9 @@ class BeamSet:
             if np.any(~ok & (p > CONTROL_FLOOR)):
                 raise ValueError(f"{tag}: probe amplitude present where control underflows")
             ratio = np.max(p[ok] / c[ok]) if np.any(ok) else 0.0
-            if ratio > self.ratio_max:
+            if ratio > RATIO_MAX:
                 raise ValueError(
-                    f"{tag}: max probe/control ratio {ratio:.3g} exceeds ratio_max={self.ratio_max}"
+                    f"{tag}: max probe/control ratio {ratio:.3g} exceeds ratio_max={RATIO_MAX}"
                 )
             worst = max(worst, ratio)
         if worst > RATIO_WARN:

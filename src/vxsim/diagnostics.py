@@ -150,15 +150,13 @@ class AnalyticPhase:
     """Phase content of the stationary vortex solution for one flavor.
 
     ``q`` is the flavor charge (+1 or -1), ``l`` the common probe OAM index
-    (probe 1 carries +l, probe 2 carries -l).  ``kbar`` is the in-plane
-    recoil wavevector (zero for untilted beams).  The dynamical phase
+    (probe 1 carries +l, probe 2 carries -l).  The dynamical phase
     -t*(Veff + U*rho) is assembled from the optional ``veff`` field and the
     mean-field term, each switchable.
     """
 
     q: int
     l: int
-    kbar: tuple[float, float] = (0.0, 0.0)
     u: float = 0.0
     include_urho: bool = True
     veff: np.ndarray | None = None
@@ -178,7 +176,7 @@ def analytic_state(
     """The closed-form dark-state flavor field on a stationary background.
 
         phi = -|xi_j(r)| * sqrt(rho) * exp(i S),
-        S = q*l*phi_angle + kbar . r - t*(Veff + U*rho)
+        S = q*l*phi_angle - t*(Veff + U*rho)
 
     with j = 1 for q = +1 and j = 2 for q = -1 (the amplitude is the
     pointwise probe/control envelope ratio).  Restricted to untilted beams:
@@ -192,7 +190,7 @@ def analytic_state(
     xi1, xi2 = xi_ratios(beams)
     amp = np.abs(xi1) if phase.q == 1 else np.abs(xi2)
     rho = np.asarray(rho, dtype=float)
-    s = phase.q * phase.l * grid.phi_map + phase.kbar[0] * grid.xm + phase.kbar[1] * grid.ym
+    s = phase.q * phase.l * grid.phi_map
     dyn = np.zeros(grid.shape)
     if phase.veff is not None:
         dyn = dyn + np.asarray(phase.veff, dtype=float)

@@ -35,6 +35,7 @@ __all__ = [
     "thomas_fermi_density",
     "qp_cancel_potential",
     "advisory_dt",
+    "observed_steps",
     "SplitStepper",
     "local_step",
     "step",
@@ -147,6 +148,16 @@ class Ramp:
         return math.sin(0.5 * math.pi * t / self.ramp_time) ** 2
 
 
+def observed_steps(observe, n_steps: int) -> list[int]:
+    """The step counts after which a driver of ``n_steps`` steps hands out a
+    whole state, in order: each count in ``observe``, and the last step."""
+    steps = set(observe)
+    outside = sorted(k for k in steps if not 1 <= k <= n_steps)
+    if outside:
+        raise ValueError(f"observed step {outside[0]} is outside 1..{n_steps}")
+    return sorted(steps | ({n_steps} if n_steps else set()))
+
+
 class SplitStepper:
     """Strang split-step propagator of one run: ``n_steps`` steps of ``dt``.
 
@@ -155,9 +166,8 @@ class SplitStepper:
     the leading half of the next fuse into one full kinetic step (Bao,
     Jaksch & Markowich, J. Comput. Phys. 187 (2003) 318): one transform pair
     per step instead of two.  The field is a whole state only after an
-    observed step, which is the last step and, when ``every`` is positive,
-    each step ``i`` with ``(i + 1) % every == 0``; ``closed`` says whether
-    the latest step was one.
+    observed step, which is the last step and each step count in
+    ``observe``; ``closed`` says whether the latest step was one.
 
     Built once per run from the beams: holds both kinetic phases and the
     Rabi fields with their conjugates, pre-scaled by ``-i*dt``.  The ramp
@@ -166,14 +176,12 @@ class SplitStepper:
     time.
     """
 
-    def __init__(self, beams: BeamSet, dt: float, n_steps: int = 1, every: int = 0):
+    def __init__(self, beams: BeamSet, dt: float, n_steps: int = 1, observe=()):
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
-        if every < 0:
-            raise ValueError("every must be >= 0")
         self.dt = dt
         self.n_steps = n_steps
-        self.every = every
+        self._observed = frozenset(observed_steps(observe, n_steps))
         self.index = 0
         self.closed = True
         k2 = beams.grid.k2
@@ -194,8 +202,7 @@ class SplitStepper:
             raise ValueError(f"all {self.n_steps} steps of this stepper are taken")
         self._kick(state, self._half if self.closed else self._full)
         self.local(state, scale)
-        last = self.index == self.n_steps - 1
-        self.closed = last or (self.every > 0 and (self.index + 1) % self.every == 0)
+        self.closed = self.index + 1 in self._observed
         if self.closed:
             self._kick(state, self._half)
         state.t += self.dt
@@ -341,27 +348,23 @@ def run_adiabatic_loading(
     ramp: Ramp,
     fidelity_floor: float = 0.9,
     snapshot_cb=None,
-    every: int = 1,
+    observe=(),
 ) -> LoadingResult:
     """Ramp the probes up over the dark state and report loading quality.
 
     The envelope is evaluated at the step midpoint (keeps the Strang step
     second order for the time-dependent Hamiltonian).  ``snapshot_cb``, if
     given, is called as ``snapshot_cb(step_index, state)`` after each
-    observed step: each step ``i`` with ``(i + 1) % every == 0``, and the
-    last step.  Kinetic half-steps fuse between observed steps, so fewer
-    observed steps mean fewer transforms; without ``snapshot_cb`` only the
-    last step is observed.
+    observed step: after ``step_index + 1`` steps for each count in
+    ``observe``, and after the last step.  Kinetic half-steps fuse between
+    observed steps, so fewer observed steps mean fewer transforms.  A count
+    outside ``1..n_steps`` raises ``ValueError``.
 
     Emits :class:`~vxsim.errors.AdiabaticityWarning` when the final
     dark-state fidelity ``1 - error`` falls below ``fidelity_floor``.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if every < 1:
-        raise ValueError("every must be >= 1")
+    stepper = SplitStepper(beams, dt, n_steps, observe)
     norm0 = state.norm()
-    stepper = SplitStepper(beams, dt, n_steps, every if snapshot_cb is not None else 0)
     for i in range(n_steps):
         step(state, beams, dt, scale=ramp.envelope(state.t + 0.5 * dt), stepper=stepper)
         if snapshot_cb is not None and stepper.closed:

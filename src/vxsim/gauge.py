@@ -28,7 +28,7 @@ relative floor; excluded points hold NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ __all__ = [
     "vortex_gauge_field",
     "fill_masked",
 ]
+
+# ratio moduli below this fraction of their peak are left out of the mask
+_XI_FLOOR = 1e-6
 
 
 def _vector_gradient(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -84,15 +87,9 @@ class EffectiveGauge:
     big_xi3: np.ndarray
     mask: np.ndarray
     hermitian_mode: bool
-    veff1: np.ndarray | None = None
-    veff2: np.ndarray | None = None
-    veff3: np.ndarray | None = None
 
     def __iter__(self):
         return iter((self.a1, self.a2, self.a3))
-
-    def with_veff(self, veff1, veff2, veff3) -> "EffectiveGauge":
-        return replace(self, veff1=veff1, veff2=veff2, veff3=veff3)
 
 
 def gauge_potentials(
@@ -101,13 +98,12 @@ def gauge_potentials(
     grid: SpectralGrid,
     hermitian_mode: bool = True,
     r_core: float | None = None,
-    xi_floor: float = 1e-6,
 ) -> EffectiveGauge:
     """Effective vector potentials A1, A2, A3 from the two beam ratios.
 
     Gradients are spectral.  The evaluation mask drops a disc of radius
     ``r_core`` (default ``2*max(dx, dy)``) around the axis plus every point
-    where ``|xi_j|`` is below ``xi_floor`` times its own peak; masked points
+    where ``|xi_j|`` is below 1e-6 of its own peak; masked points
     are NaN.  Raises :class:`~vxsim.errors.MaskError` if nothing survives.
     """
     xi1 = np.asarray(xi1, dtype=np.complex128)
@@ -121,8 +117,8 @@ def gauge_potentials(
     m2 = np.abs(xi2)
     mask = (
         (grid.r_map > r_core)
-        & (m1 > xi_floor * float(m1.max()))
-        & (m2 > xi_floor * float(m2.max()))
+        & (m1 > _XI_FLOOR * float(m1.max()))
+        & (m2 > _XI_FLOOR * float(m2.max()))
     )
     if not mask.any():
         raise MaskError("no evaluable points: ratios below floor everywhere outside the core")
@@ -229,8 +225,6 @@ class TrapSolution:
 
     v2: np.ndarray
     v3: np.ndarray
-    residual2: np.ndarray
-    residual3: np.ndarray
     max_residual: float
 
     def __iter__(self):
@@ -302,7 +296,7 @@ def solve_traps(
             f"{max_residual:.3e} > {rtol:.1e} at grid point ({i}, {j}), "
             f"x = {grid.x[i]:.4g}, y = {grid.y[j]:.4g}"
         )
-    return TrapSolution(v2=v2, v3=v3, residual2=res2, residual3=res3, max_residual=max_residual)
+    return TrapSolution(v2=v2, v3=v3, max_residual=max_residual)
 
 
 def vortex_gauge_field(grid: SpectralGrid, l: int) -> np.ndarray:

@@ -198,32 +198,21 @@ def output_map(
     params: OutcouplingParams,
     j: int,
     phase_j: np.ndarray,
-    times_out: np.ndarray | None = None,
 ) -> EnvelopeHistory:
     """Matter-wave envelope at the exit face for flavor j in {2, 3}.
 
-    Flavor 2 rides probe/control pair 1, flavor 3 pair 2.  By default the
-    output is tabulated on the input time grid shifted by the delay, which
-    covers the whole pulse; pass ``times_out`` to evaluate elsewhere (each
-    ``t - tau_j`` must fall inside the recorded history).
+    Flavor 2 rides probe/control pair 1, flavor 3 pair 2.  The output is
+    tabulated on the input time grid shifted by the delay, which covers the
+    whole pulse.
     """
     if j not in (2, 3):
         raise ValueError("flavor j must be 2 or 3")
     pair = 1 if j == 2 else 2
     tau = delay(params, pair)
-    if times_out is None:
-        # sample the recorded frames directly: adding and subtracting tau
-        # would push the last sample past the history end by roundoff
-        sample_times = history.times
-        times_out = history.times + tau
-    else:
-        times_out = np.asarray(times_out, dtype=float)
-        sample_times = times_out - tau
     factor = -math.sqrt(params.c / params.v0) * np.exp(1j * np.asarray(phase_j))
-    frames = np.empty((len(times_out),) + history.grid.shape, dtype=np.complex128)
-    for k, t in enumerate(sample_times):
-        frames[k] = factor * history.sample(float(t))
-    return EnvelopeHistory(grid=history.grid, times=times_out, values=frames)
+    # the output at t + tau is the recorded frame at t
+    frames = factor * history.values
+    return EnvelopeHistory(grid=history.grid, times=history.times + tau, values=frames)
 
 
 def time_flux(history: EnvelopeHistory, speed: float) -> float:

@@ -20,7 +20,6 @@ serialized parameters.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -232,40 +231,41 @@ def _summary_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _snapshot_steps(cfg: SimConfig, n_steps: int) -> range:
+    """Step counts of a branch of ``n_steps`` steps that dump fields."""
+    every = cfg.run.snapshot_every
+    return range(every, n_steps + 1, every) if every else range(0)
+
+
 def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
                      n_steps: int, capture_at: int | None = None):
     """Drive the five-field run; returns (final_state, captured_state, result)."""
     state = initial_state(scenario.grid, scenario.rho, scenario.traps, cfg.physics.u)
-    ramp = Ramp(cfg.run.ramp_time)
+    snaps = _snapshot_steps(cfg, n_steps)
     captured = {}
 
-    every = cfg.run.snapshot_every
-    # the stepper fuses kinetic half-steps between observed steps, so the
-    # observed ones must include both the snapshots and the ramp-end capture
-    observe = math.gcd(every, capture_at or 0)
-
     def snapshot(i, st):
-        if capture_at is not None and i == capture_at - 1:
+        if i + 1 == capture_at:
             captured["state"] = st.copy()
-        if every and (i + 1) % every == 0:
-            _loading_rows(rows, "full", st, i + 1)
+        if i + 1 in snaps:
             for alpha in (1, 2, 3):
                 out.field(
                     f"phi{alpha}_{i + 1:05d}.vxf",
                     Field(grid=st.grid, values=st.phi[alpha - 1]),
                 )
+        if i + 1 in snaps or i + 1 == n_steps:
+            _loading_rows(rows, "full", st, i + 1)
 
+    # the ramp-end capture needs a whole state, so that step is observed too
     result = run_adiabatic_loading(
         state,
         scenario.beams,
         cfg.run.dt,
         n_steps,
-        ramp,
-        snapshot_cb=snapshot if observe else None,
-        every=observe or 1,
+        Ramp(cfg.run.ramp_time),
+        snapshot_cb=snapshot,
+        observe={*snaps, capture_at} - {None},
     )
-    if not (every and n_steps % every == 0):
-        _loading_rows(rows, "full", result.state, n_steps)
     return result.state, captured.get("state"), result
 
 
@@ -290,13 +290,15 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
     grid = scenario.grid
     a_common = vortex_gauge_field(grid, cfg.p1.l)
     zeros = np.zeros(grid.shape)
-    every = cfg.run.snapshot_every
+    snaps = _snapshot_steps(cfg, n_steps)
 
     def snapshot(i, p2, p3):
+        # runs on the snapshot steps and the last step
         rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
                      *([float("nan")] * 5), _flavor_norm(grid, p2), _flavor_norm(grid, p3)))
-        out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
-        out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
+        if i + 1 in snaps:
+            out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
+            out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
 
     work = KrylovWork()
     phi2, phi3 = evolve_two_flavor(
@@ -310,8 +312,8 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
         cfg.run.dt,
         n_steps,
         grid,
-        callback=snapshot if every else None,
-        every=every or 1,
+        callback=snapshot,
+        observe=snaps,
         work=work,
     )
     return phi2, phi3, work

@@ -16,8 +16,8 @@ grid exactly (not just in the continuum).
 
 The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
 field is static), so the propagator only lands where the state is observed:
-at the steps where the callback acts, and at the last step, not at every
-``dt``.  Each advance applies the operator exponential on one Lanczos basis
+at the requested step counts and at the last step, not at every ``dt``.
+Each advance applies the operator exponential on one Lanczos basis
 (full reorthogonalization, at most ``_LANCZOS_MAX`` vectors) and takes the
 largest time step, up to the next observed step, whose a-posteriori residual
 estimate is below ``_LANCZOS_TOL`` (the step-size control of Hochbruck &
@@ -34,6 +34,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._fft import fft2, ifft2
 from .errors import CoreSingularityError, DivergenceError
+from .evolution import observed_steps
 from .grid import SpectralGrid
 
 __all__ = ["KrylovWork", "evolve_two_flavor"]
@@ -140,7 +141,9 @@ def _lanczos_advance(op, phi: np.ndarray, t: float, work: KrylovWork):
     beta0 = float(np.linalg.norm(v))
     if beta0 == 0.0:
         return phi, t
-    basis = [v / beta0]
+    # rows are the basis vectors; untouched rows cost no resident memory
+    basis = np.empty((_LANCZOS_MAX, v.size), dtype=np.complex128)
+    np.divide(v, beta0, out=basis[0])
     alphas: list[float] = []
     betas: list[float] = []
     w = op(basis[0].reshape(shape)).ravel()
@@ -159,7 +162,7 @@ def _lanczos_advance(op, phi: np.ndarray, t: float, work: KrylovWork):
         if b < 1e-14 or residual(t) < _LANCZOS_TOL:
             tau = t
             break
-        m = len(basis)
+        m = len(alphas)
         if m == _LANCZOS_MAX:
             lo, hi = 0.0, t
             for _ in range(_TAU_BISECTIONS):
@@ -171,19 +174,21 @@ def _lanczos_advance(op, phi: np.ndarray, t: float, work: KrylovWork):
             tau = lo
             break
         betas.append(b)
-        basis.append(w / b)
+        np.divide(w, b, out=basis[m])
         w = op(basis[m].reshape(shape)).ravel()
         alphas.append(float(np.real(np.vdot(basis[m], w))))
         w = w - alphas[m] * basis[m] - betas[m - 1] * basis[m - 1]
-        for u in basis:
-            w = w - np.vdot(u, w) * u
+        # full reorthogonalization, classical Gram-Schmidt twice; the
+        # projections live @ conj(w) are conjugated so no conjugate copy of
+        # the basis is ever built
+        live = basis[: m + 1]
+        for _ in range(2):
+            w -= np.conj(live @ np.conj(w)) @ live
+    n = len(alphas)
     work.krylov_steps += 1
-    work.matvecs += len(basis)
+    work.matvecs += n
     col = s @ (np.exp(-1j * tau * lam) * s[0])
-    out = np.zeros_like(v)
-    for coeff, u in zip(col, basis):
-        out += coeff * u
-    return (beta0 * out).reshape(shape), tau
+    return (beta0 * (col @ basis[:n])).reshape(shape), tau
 
 
 def _propagate(op, phi: np.ndarray, t: float, dt: float, work: KrylovWork, step: int):
@@ -212,22 +217,19 @@ def evolve_two_flavor(
     dt: float,
     n_steps: int,
     grid: SpectralGrid,
-    a2: np.ndarray | None = None,
-    a3: np.ndarray | None = None,
     a_max: float = 1e3,
     callback=None,
-    every: int = 1,
+    observe=(),
     work: KrylovWork | None = None,
 ):
     """Propagate both flavors for ``n_steps`` of ``dt``; returns new arrays.
 
     ``a`` is the common gauge field; flavor 2 sees ``+a``, flavor 3 ``-a``.
-    For unequal beam ratios pass ``a2``/``a3`` explicitly: each is used as
-    that flavor's full vector potential with no charge factor applied.
-    ``callback(step_index, phi2, phi3)``, if given, runs after each step
-    whose index ``i`` has ``(i + 1) % every == 0``.  The propagator advances
-    straight from one such step to the next (and to the last step), so
-    fewer observed steps mean fewer, longer Krylov advances.  Pass a
+    ``callback(step_index, phi2, phi3)``, if given, runs after
+    ``step_index + 1`` steps for each count in ``observe``, and after the
+    last step.  The propagator advances straight from one such step to the
+    next, so fewer observed steps mean fewer, longer Krylov advances.  A
+    count outside ``1..n_steps`` raises ``ValueError``.  Pass a
     :class:`KrylovWork` as ``work`` to have the solver work added to it.
 
     Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > a_max``
@@ -235,8 +237,7 @@ def evolve_two_flavor(
     :class:`~vxsim.errors.DivergenceError` if the evolution produces
     non-finite values or a Krylov step collapses below ``dt / 1024``.
     """
-    if every < 1:
-        raise ValueError("every must be >= 1")
+    ends = observed_steps(observe, n_steps)
     phi2 = np.array(phi2, dtype=np.complex128)
     phi3 = np.array(phi3, dtype=np.complex128)
     rho = np.asarray(rho, dtype=float)
@@ -246,23 +247,16 @@ def evolve_two_flavor(
             raise ValueError(f"{name} must match the grid shape")
         _require_finite(name, np.asarray(arr))
 
-    if a is None and (a2 is None or a3 is None):
-        raise ValueError("pass the common field a, or both a2 and a3")
-    aq2 = _as_real_vector("a2", a2, grid) if a2 is not None else _as_real_vector("a", a, grid)
-    aq3 = _as_real_vector("a3", a3, grid) if a3 is not None else -_as_real_vector("a", a, grid)
-    _core_guard(aq2, rho, phi2, a_max)
-    _core_guard(aq3, rho, phi3, a_max)
+    a = _as_real_vector("a", a, grid)
+    _core_guard(a, rho, phi2, a_max)
+    _core_guard(a, rho, phi3, a_max)
 
     mf = u * rho
-    op2 = _FlavorOperator(grid, aq2, np.asarray(veff2, dtype=float) + mf)
-    op3 = _FlavorOperator(grid, aq3, np.asarray(veff3, dtype=float) + mf)
+    op2 = _FlavorOperator(grid, a, np.asarray(veff2, dtype=float) + mf)
+    op3 = _FlavorOperator(grid, -a, np.asarray(veff3, dtype=float) + mf)
     if work is None:
         work = KrylovWork()
 
-    # step counts after which the state is observed
-    ends = list(range(every, n_steps + 1, every)) if callback is not None else []
-    if n_steps > 0 and ends[-1:] != [n_steps]:
-        ends.append(n_steps)
     done = 0
     for end in ends:
         phi2 = _propagate(op2, phi2, (end - done) * dt, dt, work, end - 1)
@@ -270,6 +264,6 @@ def evolve_two_flavor(
         done = end
         if not (np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))):
             raise DivergenceError("non-finite flavor fields", step=end - 1)
-        if callback is not None and end % every == 0:
+        if callback is not None:
             callback(end - 1, phi2, phi3)
     return phi2, phi3

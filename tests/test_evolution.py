@@ -17,6 +17,7 @@ from vxsim.evolution import (
     thomas_fermi_density,
 )
 from vxsim.grid import make_grid
+from vxsim.two_flavor import evolve_two_flavor
 
 
 def _loaded_state(grid, u):
@@ -305,7 +306,8 @@ def test_fused_loading_matches_closed_steps(weak_beams64, grid64):
         seen[i] = st.copy()
 
     fused = _loaded_state(grid64, 0.4)
-    run_adiabatic_loading(fused, weak_beams64, dt, n, ramp, snapshot_cb=record, every=5)
+    run_adiabatic_loading(fused, weak_beams64, dt, n, ramp, snapshot_cb=record,
+                          observe=range(5, n + 1, 5))
     assert sorted(seen) == [4, 9, 14, 19, 22]
     for i, st in seen.items():
         assert st.t == pytest.approx(closed[i].t, rel=1e-15)
@@ -325,10 +327,38 @@ def test_fused_loading_transform_count(monkeypatch, weak_beams64, grid64, every,
             return _fn(a)
 
         monkeypatch.setattr(evolution, name, counted)
-    observe = {} if every is None else {"snapshot_cb": lambda i, st: None, "every": every}
+    observe = {} if every is None else {"snapshot_cb": lambda i, st: None,
+                                        "observe": range(every, 24, every)}
     run_adiabatic_loading(_loaded_state(grid64, 0.4), weak_beams64, 0.004, 23, Ramp(0.2),
                           **observe)
     assert calls == {"fft2": pairs, "ifft2": pairs}
+
+
+@pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning")
+def test_drivers_share_the_observation_schedule(weak_beams64, grid64):
+    # both drivers call back after each observed count and after the last step
+    observe, n = {5, 10, 12}, 23
+    psi = np.exp(-(grid64.r_map**2)).astype(complex)
+    z = np.zeros(grid64.shape)
+
+    def load(observe):
+        seen = []
+        run_adiabatic_loading(_loaded_state(grid64, 0.4), weak_beams64, 0.004, n, Ramp(0.2),
+                              snapshot_cb=lambda i, st: seen.append(i), observe=observe)
+        return seen
+
+    def hold(observe):
+        seen = []
+        evolve_two_flavor(psi, psi, np.zeros((2,) + grid64.shape), z, z, z, 0.0, 0.004, n,
+                          grid64, callback=lambda i, p2, p3: seen.append(i), observe=observe)
+        return seen
+
+    for driver in (load, hold):
+        assert driver(observe) == [4, 9, 11, 22]
+        assert driver(()) == [22]
+        for outside in ({0}, {n + 1}):
+            with pytest.raises(ValueError, match="outside 1..23"):
+                driver(outside)
 
 
 def test_fused_step_divergence_names_its_step(monkeypatch, weak_beams64, grid64):

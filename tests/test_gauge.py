@@ -153,14 +153,11 @@ def test_shape_validation(grid128):
         gauge_potentials(bad, bad, grid128)
 
 
-def test_gauge_iteration_and_with_veff(grid128, synthetic_ring_ratios):
+def test_gauge_iteration(grid128, synthetic_ring_ratios):
     _, _, xi1, xi2 = synthetic_ring_ratios
     g = gauge_potentials(xi1, xi2, grid128)
     a1, a2, a3 = g
     assert a1 is g.a1 and a2 is g.a2 and a3 is g.a3
-    v = np.zeros(grid128.shape)
-    g2 = g.with_veff(v, v, v)
-    assert g2.veff1 is v and g.veff1 is None
 
 
 def test_fill_masked():

@@ -47,19 +47,20 @@ def test_core_singularity_is_a_config_error(tmp_path):
     assert "refine the grid" in rep.values["error"]
 
 
-def test_summary_rows_match_header(tmp_path):
-    # snapshot_every divides both the full and the hold step counts, so the
-    # last snapshot of each branch falls on its final step
+@pytest.mark.parametrize("every", [0, 5, 7])
+def test_summary_rows_match_header(tmp_path, every):
+    # 5 divides both the 20 full and the 10 hold steps, so the last snapshot
+    # of each branch falls on its final step; 7 divides neither
     rep = run_text(tmp_path, "run.mode = compare\nrun.n_steps = 20\nrun.ramp_time = 0.04\n"
-                             "run.snapshot_every = 5\n")
+                             f"run.snapshot_every = {every}\n")
     assert rep.exit_code == 0
     with open(rep.out_dir / "summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows[0]) == 11
     assert all(len(row) == 11 for row in rows)
-    keys = [(row[0], int(row[1])) for row in rows[1:]]
-    assert len(keys) == len(set(keys))
-    assert ("full", 20) in keys and ("effective", 10) in keys
+    keys = Counter((row[0], int(row[1])) for row in rows[1:])
+    assert max(keys.values()) == 1
+    assert keys["full", 20] == 1 and keys["effective", 10] == 1
 
 
 @pytest.mark.parametrize("mode", ["effective", "compare"])
@@ -75,12 +76,23 @@ def test_krylov_work_reported_and_repeatable(tmp_path, mode):
     assert f"effective.matvecs = {matvecs}" in (a.out_dir / "report.txt").read_text()
 
 
-def test_snapshots_off_the_ramp_end_leave_the_comparison_unchanged(tmp_path):
-    # 7 does not divide the 12 ramp steps: every step is observed, where
-    # without snapshots only the ramp end and the last step are
+def test_snapshots_off_the_ramp_end_leave_the_comparison_unchanged(tmp_path, monkeypatch):
+    # 7 does not divide the 12 ramp steps: the snapshots at 7, 14 and 21, the
+    # ramp end and the last step are observed, where without snapshots only
+    # the ramp end and the last step are; each step makes one forward
+    # transform, and each observed step one more
     text = "run.mode = compare\nrun.n_steps = 24\nrun.ramp_time = 0.048\n"
+    calls = Counter()
+
+    def counted(a, _fn=evolution.fft2):
+        calls["fft2"] += 1
+        return _fn(a)
+
+    monkeypatch.setattr(evolution, "fft2", counted)
     fused = run_text(tmp_path, text + "run.snapshot_every = 0\n", "fused")
+    assert calls.pop("fft2") == 24 + 2
     observed = run_text(tmp_path, text + "run.snapshot_every = 7\n", "observed")
+    assert calls.pop("fft2") == 24 + 5
     assert fused.exit_code == observed.exit_code == 0
     for key in ("compare2.l2_error", "compare3.l2_error", "analytic2.l2_error",
                 "analytic3.l2_error", "full.dark_state_error"):

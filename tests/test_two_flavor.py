@@ -100,17 +100,6 @@ def test_big_step_subdivides_not_degrades(grid32):
     assert np.abs(p2 - ex).max() < 1e-12
 
 
-def test_explicit_flavor_fields_match_common(grid64, vortex_background):
-    seed, vg, _, _ = vortex_background
-    z = np.zeros(grid64.shape)
-    common = evolve_two_flavor(seed, np.conj(seed), vg, z, z, z, 0.0, 0.01, 5, grid64)
-    explicit = evolve_two_flavor(
-        seed, np.conj(seed), None, z, z, z, 0.0, 0.01, 5, grid64, a2=vg, a3=-vg
-    )
-    np.testing.assert_array_equal(common[0], explicit[0])
-    np.testing.assert_array_equal(common[1], explicit[1])
-
-
 def test_zero_field_stays_zero(grid32):
     z = np.zeros(grid32.shape)
     zero = np.zeros(grid32.shape, dtype=complex)
@@ -155,10 +144,10 @@ def test_argument_validation(grid32):
         evolve_two_flavor(psi, psi, z, z, z, z, 0.0, 0.01, 1, grid32)
     with pytest.raises(ValueError, match="real"):
         evolve_two_flavor(psi, psi, zeros2(grid32) + 0.1j, z, z, z, 0.0, 0.01, 1, grid32)
-    with pytest.raises(ValueError, match="both a2 and a3"):
-        evolve_two_flavor(psi, psi, None, z, z, z, 0.0, 0.01, 1, grid32, a2=zeros2(grid32))
-    with pytest.raises(ValueError, match="every"):
-        evolve_two_flavor(psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32, every=0)
+    for observe in ({0}, {2}):
+        with pytest.raises(ValueError, match="outside 1..1"):
+            evolve_two_flavor(psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32,
+                              observe=observe)
 
 
 def test_callback_sequence(grid32):
@@ -167,7 +156,7 @@ def test_callback_sequence(grid32):
     seen = []
     evolve_two_flavor(
         psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 4, grid32,
-        callback=lambda i, p2, p3: seen.append((i, p2.shape)),
+        callback=lambda i, p2, p3: seen.append((i, p2.shape)), observe=range(1, 5),
     )
     assert [i for i, _ in seen] == [0, 1, 2, 3]
     assert all(s == grid32.shape for _, s in seen)
@@ -179,7 +168,8 @@ def _every_step(grid, background, n_steps, work=None):
     seen = []
     out = evolve_two_flavor(
         seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, n_steps, grid,
-        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())), work=work,
+        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        observe=range(1, n_steps + 1), work=work,
     )
     return out, seen
 
@@ -198,9 +188,10 @@ def test_callback_every_fires_on_its_steps(grid64, vortex_background):
     seen = []
     evolve_two_flavor(
         seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 23, grid64,
-        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())), every=5,
+        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        observe=range(5, 24, 5),
     )
-    assert [i for i, _, _ in seen] == [4, 9, 14, 19]
+    assert [i for i, _, _ in seen] == [4, 9, 14, 19, 22]
     for i, p2, p3 in seen:
         _, r2, r3 = ref[i]
         assert np.abs(p2 - r2).max() < 1e-12
