@@ -44,7 +44,6 @@ from .evolution import (
     advisory_dt,
     dark_state_error,
     initial_state,
-    local_step,
     qp_cancel_potential,
     run_adiabatic_loading,
     step,
@@ -125,7 +124,6 @@ __all__ = [
     "laplacian",
     "lg_amplitude",
     "lg_beams",
-    "local_step",
     "loop_integral",
     "make_grid",
     "output_field",

@@ -37,7 +37,6 @@ __all__ = [
     "advisory_dt",
     "observed_steps",
     "SplitStepper",
-    "local_step",
     "step",
     "run_adiabatic_loading",
 ]
@@ -272,16 +271,6 @@ class SplitStepper:
             "local propagator series did not converge; dt is far above the advisory bound",
             step=self.index,
         )
-
-
-def local_step(state: MatterState, beams: BeamSet, dt: float, scale: float = 1.0) -> MatterState:
-    """Apply the pointwise internal-level propagator ``exp(-i*dt*(H+D))``.
-
-    An adaptively truncated power series, exact at working precision for dt
-    at the advisory scale.  Mutates and returns ``state``.
-    """
-    SplitStepper(beams, dt).local(state, scale)
-    return state
 
 
 def step(

@@ -17,12 +17,15 @@ grid exactly (not just in the continuum).
 The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
 field is static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
-Each advance applies the operator exponential on one Lanczos basis
-(full reorthogonalization, at most ``_LANCZOS_MAX`` vectors) and takes the
-largest time step, up to the next observed step, whose a-posteriori residual
-estimate is below ``_LANCZOS_TOL`` (the step-size control of Hochbruck &
-Lubich, SIAM J. Numer. Anal. 34 (1997) 1911, and of Expokit, Sidje, ACM
-TOMS 24 (1998) 130).  Per-flavor norms are conserved to machine precision.
+Both flavors are one stacked ``(2, nx, ny)`` field under one operator, and
+each observed stretch is one Chebyshev expansion of the operator
+exponential (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967): three
+vectors, no reorthogonalization and no step control.  The expansion needs
+the spectrum's bounds, found once per call: the least local potential
+bounds it below exactly, and a short Lanczos run plus its residual bounds
+it above (Zhou & Li, Linear Algebra Appl. 435 (2011) 480).  Per-flavor
+norms are conserved to machine precision; a norm that moves by more than
+``_NORM_TOL`` means the upper bound was too low.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
 from ._fft import fft2, ifft2
 from .errors import CoreSingularityError, DivergenceError
@@ -39,22 +43,17 @@ from .grid import SpectralGrid
 
 __all__ = ["KrylovWork", "evolve_two_flavor"]
 
-_LANCZOS_TOL = 1e-13
-# The live basis (nx*ny*16 bytes a vector) sets the branch's peak memory: on
-# a 128^2 hold a cap of 30 instead of 20 vectors adds another 2.3 MB (2.5 %)
-# of peak resident size, for fewer, longer advances.
-_LANCZOS_MAX = 20
-# Bisection halvings of a step that a full basis cannot take in one advance;
-# they fix the admissible step to 2^-30 of the interval left.
-_TAU_BISECTIONS = 30
-# An advance below this fraction of dt counts as a collapsed step.
-_TAU_FLOOR = 2.0**-10
+# Lanczos steps of the upper spectral bound, one operator application each.
+_BOUND_STEPS = 20
+# Largest relative change of a flavor's norm from its initial value.
+_NORM_TOL = 1e-10
 
 
 @dataclass
 class KrylovWork:
-    """Solver work of the reduced propagator, summed over both flavors:
-    Lanczos bases built (one per Krylov advance) and operator applications."""
+    """Solver work of the reduced propagator: Chebyshev advances (one per
+    observed stretch) and applications of the stacked two-flavor operator,
+    the bound estimate's included."""
 
     krylov_steps: int = 0
     matvecs: int = 0
@@ -100,22 +99,23 @@ def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray, a_max: float):
 
 
 class _FlavorOperator:
-    """Matvec of the expanded minimal-coupling Hamiltonian for one flavor.
+    """Matvec of the expanded minimal-coupling Hamiltonian of both flavors,
+    stacked on the first axis, with the charges folded into ``aq``.
 
     The cross term is applied in the symmetrized form i/2 (a.D + D.a): the
     spectral derivative D is exactly anti-self-adjoint and a is a real
     multiplier, so this combination is Hermitian on the grid even where
     pointwise products alias; the naive a.D + (div a)/2 form is not, and the
-    defect is what Lanczos amplifies.  In the continuum the two agree.
+    expansion would amplify the defect.  In the continuum the two agree.
     """
 
     def __init__(self, grid: SpectralGrid, aq: np.ndarray, local: np.ndarray):
         self.half_k2 = 0.5 * grid.k2
         self.ikx = 1j * grid.kx_grad[:, None]
         self.iky = 1j * grid.ky_grad[None, :]
-        self.aqx = aq[0]
-        self.aqy = aq[1]
-        self.local = local + 0.5 * (aq[0] ** 2 + aq[1] ** 2)
+        self.aqx = aq[:, 0]
+        self.aqy = aq[:, 1]
+        self.local = local + 0.5 * (self.aqx**2 + self.aqy**2)
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         f = fft2(phi)
@@ -128,82 +128,64 @@ class _FlavorOperator:
         return kinetic_and_div + 0.5j * a_dot_grad + self.local * phi
 
 
-def _lanczos_advance(op, phi: np.ndarray, t: float, work: KrylovWork):
-    """One Krylov advance ``phi <- exp(-i tau H) phi`` with ``tau <= t``.
+def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
+    """``(lo, hi)`` enclosing the spectrum of ``op``.
 
-    The basis grows until the residual estimate at ``tau = t`` converges or
-    ``_LANCZOS_MAX`` vectors are built; then ``tau`` is the largest step
-    (found by bisection on the last eigen-decomposition) whose estimate is
-    below ``_LANCZOS_TOL``.  Returns ``(phi, tau)``.
+    ``lo = min(local)`` is exact: the kinetic and gauge part is
+    1/2 (P - a)^H (P - a) + 1/2 (k^2 - k_grad^2) >= 0 on the grid.  ``hi`` is
+    the top Ritz value of ``_BOUND_STEPS`` Lanczos steps (three vectors, no
+    reorthogonalization) from a fixed random start, plus the residual norm
+    of its Ritz pair.
     """
-    shape = phi.shape
-    v = phi.ravel()
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return phi, t
-    # rows are the basis vectors; untouched rows cost no resident memory
-    basis = np.empty((_LANCZOS_MAX, v.size), dtype=np.complex128)
-    np.divide(v, beta0, out=basis[0])
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = op(basis[0].reshape(shape)).ravel()
-    alphas.append(float(np.real(np.vdot(basis[0], w))))
-    w = w - alphas[0] * basis[0]
-    while True:
-        b = float(np.linalg.norm(w))
-        # spectral decomposition of the current tridiagonal projection
-        lam, s = eigh_tridiagonal(alphas, betas)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(local.shape) + 1j * rng.standard_normal(local.shape)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(_BOUND_STEPS):
+        w = op(v)
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v + beta * v_prev
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    work.matvecs += _BOUND_STEPS
+    theta, s = eigh_tridiagonal(alphas, betas[:-1])
+    return float(local.min()), float(theta[-1] + abs(betas[-1] * s[-1, -1]))
 
-        def residual(tau: float) -> float:
-            # residual estimate for the Krylov exponential (no tau factor:
-            # the off-diagonal coupling itself sets the neglected-term scale)
-            return b * abs(s[-1] @ (np.exp(-1j * tau * lam) * s[0]))
 
-        if b < 1e-14 or residual(t) < _LANCZOS_TOL:
-            tau = t
-            break
-        m = len(alphas)
-        if m == _LANCZOS_MAX:
-            lo, hi = 0.0, t
-            for _ in range(_TAU_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                if residual(mid) < _LANCZOS_TOL:
-                    lo = mid
-                else:
-                    hi = mid
-            tau = lo
-            break
-        betas.append(b)
-        np.divide(w, b, out=basis[m])
-        w = op(basis[m].reshape(shape)).ravel()
-        alphas.append(float(np.real(np.vdot(basis[m], w))))
-        w = w - alphas[m] * basis[m] - betas[m - 1] * basis[m - 1]
-        # full reorthogonalization, classical Gram-Schmidt twice; the
-        # projections live @ conj(w) are conjugated so no conjugate copy of
-        # the basis is ever built
-        live = basis[: m + 1]
-        for _ in range(2):
-            w -= np.conj(live @ np.conj(w)) @ live
-    n = len(alphas)
+def _chebyshev_advance(op, phi: np.ndarray, t: float, lo: float, hi: float,
+                       work: KrylovWork) -> np.ndarray:
+    """``exp(-i t H) phi`` for ``H`` with spectrum in ``[lo, hi]``.
+
+    With ``H = mid + half * X`` the expansion is
+    ``exp(-i mid t) sum_k (2 - [k = 0]) (-i)^k J_k(half t) T_k(X)``; the
+    Bessel factors fall off faster than exponentially once ``k > half t``,
+    and the sum stops where they drop below 1e-16.
+    """
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = half * t
+    # the last term above 1e-16 lies near z + 12 z^(1/3); this length covers it
+    k = np.arange(int(z + 20.0 * z ** (1.0 / 3.0)) + 40)
+    coef = jv(k, z)
+    n = max(2, int(np.nonzero(np.abs(coef) >= 1e-16)[0][-1]) + 1)
+    coef = 2.0 * (-1j) ** k[:n] * coef[:n]
+    coef[0] *= 0.5
+
+    def x(v):  # (H - mid) / half
+        return (op(v) - mid * v) / half
+
+    prev, cur = phi, x(phi)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2.0 * x(cur) - prev
+        out += c * cur
     work.krylov_steps += 1
-    work.matvecs += n
-    col = s @ (np.exp(-1j * tau * lam) * s[0])
-    return (beta0 * (col @ basis[:n])).reshape(shape), tau
-
-
-def _propagate(op, phi: np.ndarray, t: float, dt: float, work: KrylovWork, step: int):
-    """``phi <- exp(-i t H) phi`` in as many Krylov advances as it takes."""
-    left = t
-    while left > 0.0:
-        phi, tau = _lanczos_advance(op, phi, left, work)
-        if tau < left and tau < _TAU_FLOOR * dt:
-            raise DivergenceError(
-                f"Krylov step collapsed to {tau:.3e} (< dt/{1 / _TAU_FLOOR:.0f}) "
-                f"with {_LANCZOS_MAX} Lanczos vectors",
-                step=step,
-            )
-        left -= tau
-    return phi
+    work.matvecs += n - 1
+    out *= np.exp(-1j * mid * t)
+    return out
 
 
 def evolve_two_flavor(
@@ -228,18 +210,19 @@ def evolve_two_flavor(
     ``callback(step_index, phi2, phi3)``, if given, runs after
     ``step_index + 1`` steps for each count in ``observe``, and after the
     last step.  The propagator advances straight from one such step to the
-    next, so fewer observed steps mean fewer, longer Krylov advances.  A
-    count outside ``1..n_steps`` raises ``ValueError``.  Pass a
-    :class:`KrylovWork` as ``work`` to have the solver work added to it.
+    next in one Chebyshev advance.  A count outside ``1..n_steps`` raises
+    ``ValueError``.  Pass a :class:`KrylovWork` as ``work`` to have the
+    solver work added to it.
 
     Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > a_max``
     anywhere the background or flavor fields are non-negligible, and
     :class:`~vxsim.errors.DivergenceError` if the evolution produces
-    non-finite values or a Krylov step collapses below ``dt / 1024``.
+    non-finite values or an advance moves a flavor's norm by more than
+    ``_NORM_TOL`` (the spectral bound was too low).
     """
     ends = observed_steps(observe, n_steps)
-    phi2 = np.array(phi2, dtype=np.complex128)
-    phi3 = np.array(phi3, dtype=np.complex128)
+    phi2 = np.asarray(phi2, dtype=np.complex128)
+    phi3 = np.asarray(phi3, dtype=np.complex128)
     rho = np.asarray(rho, dtype=float)
     for name, arr in (("phi2", phi2), ("phi3", phi3), ("rho", rho),
                       ("veff2", veff2), ("veff3", veff3)):
@@ -252,18 +235,28 @@ def evolve_two_flavor(
     _core_guard(a, rho, phi3, a_max)
 
     mf = u * rho
-    op2 = _FlavorOperator(grid, a, np.asarray(veff2, dtype=float) + mf)
-    op3 = _FlavorOperator(grid, -a, np.asarray(veff3, dtype=float) + mf)
+    local = np.stack([np.asarray(veff2, dtype=float) + mf, np.asarray(veff3, dtype=float) + mf])
+    op = _FlavorOperator(grid, np.stack([a, -a]), local)
     if work is None:
         work = KrylovWork()
+    lo, hi = _spectral_bounds(op, local, work)
 
+    phi = np.stack([phi2, phi3])
+    norms = np.linalg.norm(phi, axis=(1, 2))
+    scale = np.where(norms > 0.0, norms, 1.0)
     done = 0
     for end in ends:
-        phi2 = _propagate(op2, phi2, (end - done) * dt, dt, work, end - 1)
-        phi3 = _propagate(op3, phi3, (end - done) * dt, dt, work, end - 1)
+        phi = _chebyshev_advance(op, phi, (end - done) * dt, lo, hi, work)
         done = end
-        if not (np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))):
+        if not np.all(np.isfinite(phi)):
             raise DivergenceError("non-finite flavor fields", step=end - 1)
+        drift = float(np.max(np.abs(np.linalg.norm(phi, axis=(1, 2)) - norms) / scale))
+        if drift > _NORM_TOL:
+            raise DivergenceError(
+                f"flavor norm moved by {drift:.3e}; the "
+                f"spectral bound {hi:.6g} is below the top of the spectrum",
+                step=end - 1,
+            )
         if callback is not None:
-            callback(end - 1, phi2, phi3)
-    return phi2, phi3
+            callback(end - 1, phi[0], phi[1])
+    return phi[0], phi[1]

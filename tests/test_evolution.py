@@ -7,10 +7,10 @@ from vxsim.errors import AdiabaticityWarning, DivergenceError
 from vxsim.evolution import (
     MatterState,
     Ramp,
+    SplitStepper,
     advisory_dt,
     dark_state_error,
     initial_state,
-    local_step,
     qp_cancel_potential,
     run_adiabatic_loading,
     step,
@@ -148,7 +148,7 @@ def test_dark_state_is_local_fixed_point(weak_beams64, grid64):
     state.phi[1] = -xi1 * f
     state.phi[2] = -xi2 * f
     before = state.phi.copy()
-    local_step(state, weak_beams64, dt=0.05)
+    SplitStepper(weak_beams64, 0.05).local(state)
     assert np.max(np.abs(state.phi - before)) < 1e-14
     assert dark_state_error(state, weak_beams64) < 1e-12
 
@@ -185,7 +185,7 @@ def test_local_step_conserves_norm(uniform_beams, grid16):
     state.phi[0] = 1.0
     state.phi[1] = 0.5j
     n0 = state.norm()
-    local_step(state, beams, dt=0.01)
+    SplitStepper(beams, 0.01).local(state)
     assert abs(state.norm() - n0) / n0 < 1e-13
 
 
@@ -194,7 +194,7 @@ def test_series_divergence_reported(uniform_beams, grid16):
     state = _blank_state(grid16)
     state.phi[1] = 1.0
     with pytest.raises(DivergenceError, match="advisory"):
-        local_step(state, beams, dt=100.0)
+        SplitStepper(beams, 100.0).local(state)
 
 
 def test_step_flags_nonfinite(uniform_beams, grid16):

@@ -89,8 +89,8 @@ def test_norm_conserved(grid64, vortex_background):
 
 
 def test_big_step_subdivides_not_degrades(grid32):
-    # one step far beyond the Krylov budget must split itself, not silently
-    # return an unconverged result
+    # one step far beyond dt's scale is one long expansion that still
+    # converges, not a silently truncated one
     psi0 = np.exp(-(grid32.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid32.shape)
     a0 = 0.7
@@ -163,7 +163,7 @@ def test_callback_sequence(grid32):
 
 
 def _every_step(grid, background, n_steps, work=None):
-    """Reference path: a callback at every step pins a Krylov advance to each dt."""
+    """Reference path: a callback at every step pins an advance to each dt."""
     seed, vg, veff, rho = background
     seen = []
     out = evolve_two_flavor(
@@ -206,15 +206,48 @@ def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
     evolve_two_flavor(
         seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
     )
-    assert stepped.krylov_steps == 200
+    # one advance per observed stretch, for both flavors at once
+    assert stepped.krylov_steps == 100
+    assert held.krylov_steps == 1
     assert 0 < held.matvecs <= stepped.matvecs // 2
-    assert held.matvecs <= two_flavor._LANCZOS_MAX * held.krylov_steps
 
 
-def test_collapsed_krylov_step_raises(grid32, monkeypatch):
-    # a two-vector basis cannot reach the tolerance over any useful step
-    monkeypatch.setattr(two_flavor, "_LANCZOS_MAX", 2)
-    psi0 = np.exp(-(grid32.r_map**2) / (2.0 * 1.5**2)).astype(complex)
-    z = np.zeros(grid32.shape)
-    with pytest.raises(DivergenceError, match="collapsed"):
-        evolve_two_flavor(psi0, psi0, zeros2(grid32), z, z, z, 0.0, 0.1, 1, grid32)
+def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
+    # components above a too-low bound grow like cosh(k acosh x) with the
+    # term count k, so the norm guard has to fire
+    bounds = two_flavor._spectral_bounds
+
+    def low(op, local, work):
+        lo, hi = bounds(op, local, work)
+        return lo, 0.8 * hi
+
+    monkeypatch.setattr(two_flavor, "_spectral_bounds", low)
+    seed, vg, veff, rho = vortex_background
+    with pytest.raises(DivergenceError, match="spectral bound"):
+        evolve_two_flavor(seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64)
+
+
+def test_spectral_bounds_enclose_exact_spectrum(grid64):
+    """Under a uniform A = (a0, 0) the operator is diagonal in k space with
+    eigenvalues 1/2 k^2 -+ a0 kx + 1/2 a0^2 for the two flavors."""
+    a0 = 0.7
+    a = np.stack([a0 * np.ones(grid64.shape), np.zeros(grid64.shape)])
+    local = np.zeros((2,) + grid64.shape)
+    op = two_flavor._FlavorOperator(grid64, np.stack([a, -a]), local)
+    exact = np.stack([0.5 * grid64.k2 + sign * a0 * grid64.kx_grad[:, None] + 0.5 * a0**2
+                      for sign in (-1, +1)])
+    work = KrylovWork()
+    lo, hi = two_flavor._spectral_bounds(op, local, work)
+    assert work.matvecs == two_flavor._BOUND_STEPS
+    assert lo <= exact.min()
+    assert exact.max() <= hi <= 1.01 * exact.max()
+
+    psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
+    t = 1.0
+    advance = KrylovWork()
+    out = two_flavor._chebyshev_advance(op, np.stack([psi0, psi0]), t, lo, hi, advance)
+    z = 0.5 * (hi - lo) * t
+    assert advance.krylov_steps == 1
+    assert advance.matvecs <= z + 12.0 * z ** (1.0 / 3.0) + 40
+    ex = ifft2(np.exp(-1j * t * exact) * fft2(psi0))
+    assert np.abs(out - ex).max() < 1e-12
