@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureError
 from .grid import Field, SpectralGrid
@@ -107,24 +106,29 @@ def _vg_at(params: OutcouplingParams, j: int, z: float) -> float:
     return group_velocity(params.coupling(j), params.n, params.omega0(j, z), params.v0, params.c)
 
 
-def delay(params: OutcouplingParams, j: int) -> float:
-    """Transit time tau_j = integral dz / V_g(z) over the column."""
-    L = params.length
-    breaks = (0.8 * L, 0.95 * L, 0.99 * L)
+def _quad(params: OutcouplingParams, j: int, a: float, b: float, what: str, points=None):
+    """``quad`` of 1/V_g over [a, b]; a non-converging integral raises ``QuadratureError``.
+
+    scipy.integrate is imported here, on first use, so that ``import vxsim``
+    does not pay for it (it pulls in scipy.optimize, scipy.sparse and
+    scipy.linalg); only ``outcouple`` runs integrate.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            val, err = quad(
-                lambda z: 1.0 / _vg_at(params, j, z),
-                0.0,
-                L,
-                points=breaks,
-                limit=200,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
+            return quad(lambda z: 1.0 / _vg_at(params, j, z), a, b,
+                        points=points, limit=200, epsabs=1e-13, epsrel=1e-12)
         except IntegrationWarning as exc:
-            raise QuadratureError(f"delay quadrature did not converge: {exc}") from exc
+            raise QuadratureError(f"{what}: {exc}") from exc
+
+
+def delay(params: OutcouplingParams, j: int) -> float:
+    """Transit time tau_j = integral dz / V_g(z) over the column."""
+    L = params.length
+    val, err = _quad(params, j, 0.0, L, "delay quadrature did not converge",
+                     points=(0.8 * L, 0.95 * L, 0.99 * L))
     if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1.0):
         raise QuadratureError(f"delay quadrature error estimate {err:.2e} too large")
     return float(val)
@@ -137,23 +141,10 @@ def delay_table(params: OutcouplingParams, j: int, n_rows: int = 101):
     zs = np.linspace(0.0, params.length, n_rows)
     rows = []
     tau = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for k, z in enumerate(zs):
-            if k > 0:
-                try:
-                    seg, _ = quad(
-                        lambda s: 1.0 / _vg_at(params, j, s),
-                        zs[k - 1],
-                        z,
-                        limit=200,
-                        epsabs=1e-13,
-                        epsrel=1e-12,
-                    )
-                except IntegrationWarning as exc:
-                    raise QuadratureError(f"delay table segment {k}: {exc}") from exc
-                tau += seg
-            rows.append((float(z), _vg_at(params, j, float(z)), float(tau)))
+    for k, z in enumerate(zs):
+        if k > 0:
+            tau += _quad(params, j, zs[k - 1], z, f"delay table segment {k}")[0]
+        rows.append((float(z), _vg_at(params, j, float(z)), float(tau)))
     return rows
 
 

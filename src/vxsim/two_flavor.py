@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import jv
 
 from ._fft import fft2, ifft2
@@ -128,6 +127,13 @@ class _FlavorOperator:
         return kinetic_and_div + 0.5j * a_dot_grad + self.local * phi
 
 
+def eigh_tridiagonal(d, e):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal
+    matrix with diagonal ``d`` and off-diagonal ``e``, by a dense ``eigh``."""
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return np.linalg.eigh(t)
+
+
 def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
     """``(lo, hi)`` enclosing the spectrum of ``op``.
 
@@ -135,7 +141,8 @@ def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
     1/2 (P - a)^H (P - a) + 1/2 (k^2 - k_grad^2) >= 0 on the grid.  ``hi`` is
     the top Ritz value of ``_BOUND_STEPS`` Lanczos steps (three vectors, no
     reorthogonalization) from a fixed random start, plus the residual norm
-    of its Ritz pair.
+    of its Ritz pair.  The Ritz pair comes from a dense numpy ``eigh`` of the
+    ``_BOUND_STEPS`` x ``_BOUND_STEPS`` tridiagonal Lanczos matrix.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(local.shape) + 1j * rng.standard_normal(local.shape)

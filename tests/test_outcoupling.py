@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,36 @@ def test_delay_oscillatory_profile_raises():
     p = make_params(profile=prof)
     with pytest.raises(QuadratureError, match="quadrature"):
         delay(p, 1)
+
+
+def test_delay_table_oscillatory_profile_raises():
+    prof = lambda s: 0.5 + 0.5 * math.sin(2e4 / (s + 1e-4))
+    p = make_params(profile=prof)
+    with pytest.raises(QuadratureError, match="delay table segment 1"):
+        delay_table(p, 1, n_rows=11)
+
+
+IMPORT_PROBE = """
+import sys
+import vxsim
+heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+print(",".join(m for m in heavy if m in sys.modules))
+p = vxsim.outcoupling.OutcouplingParams(
+    g1=8.0, g2=8.0, omega0_1=4.0, omega0_2=4.0, n=1.0, v0=0.04, c=1.0, length=1.0)
+print(repr(vxsim.outcoupling.delay(p, 1)))
+"""
+
+
+def test_import_loads_no_integrate_or_linalg():
+    # every run is a fresh process, so what ``import vxsim`` loads is paid by
+    # each run; scipy.integrate is loaded only when a delay is integrated
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == ""
+    assert float(out[1]) == pytest.approx(13.111343968404773, rel=1e-13)
 
 
 def test_delay_table_consistency():

@@ -251,3 +251,27 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     assert advance.matvecs <= z + 12.0 * z ** (1.0 / 3.0) + 40
     ex = ifft2(np.exp(-1j * t * exact) * fft2(psi0))
     assert np.abs(out - ex).max() < 1e-12
+
+
+def test_eigh_tridiagonal_matches_scipy():
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(7)
+    d, e = rng.standard_normal(20), rng.standard_normal(19)
+    theta, s = two_flavor.eigh_tridiagonal(d, e)
+    ref_theta, ref_s = eigh_tridiagonal(d, e)
+    assert np.abs(theta - ref_theta).max() <= 1e-12 * np.abs(ref_theta).max()
+    assert np.abs(np.abs(s[-1, :]) - np.abs(ref_s[-1, :])).max() <= 1e-10
+
+
+def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background, monkeypatch):
+    from scipy.linalg import eigh_tridiagonal
+
+    seed, vg, veff, rho = vortex_background
+    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
+    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    monkeypatch.setattr(two_flavor, "eigh_tridiagonal", eigh_tridiagonal)
+    ref_lo, ref_hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    assert lo == ref_lo
+    assert hi == pytest.approx(ref_hi, rel=1e-12)
