@@ -108,9 +108,7 @@ print(repr(vxsim.outcoupling.delay(p, 1)))
 def test_import_loads_no_integrate_or_linalg():
     # every run is a fresh process, so what ``import vxsim`` loads is paid by
     # each run; scipy.integrate is loaded only when a delay is integrated
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == ""
