@@ -41,7 +41,7 @@ __all__ = [
     "run_adiabatic_loading",
 ]
 
-#: the local series gives up beyond this many terms (dt far above advisory)
+#: the local series gives up beyond this many terms (dt*max|M| far above 1)
 _SERIES_MAX_TERMS = 32
 
 #: grid points per block of the local series: a block's fields, two term
@@ -267,10 +267,30 @@ class SplitStepper:
             if not math.isfinite(size):
                 raise DivergenceError("non-finite field values", step=self.index)
             src, term = term, src
-        raise DivergenceError(
-            "local propagator series did not converge; dt is far above the advisory bound",
-            step=self.index,
-        )
+        raise DivergenceError(self._unconverged(state, block, diag, couplings), step=self.index)
+
+    def _unconverged(self, state, block, diag, couplings) -> str:
+        """Why a block's series did not converge: the largest entry of
+        ``dt*M`` there, a trap-carrying diagonal or a beam coupling, with its
+        levels and grid point."""
+        names = ("probe 1", "probe 2", "control 1", "control 2")
+        # the first four couplings are the conjugates of the last four
+        entries = [np.abs(d) for d in diag] + [np.abs(c) for _, c, _ in couplings[:4]]
+        sizes = [float(e.max()) for e in entries]
+        which = int(np.argmax(sizes))
+        i, j = np.unravel_index(int(np.argmax(entries[which])), entries[which].shape)
+        i += block.start
+        if which < 5:
+            cause = (f"the level-{which + 1} diagonal "
+                     f"(trap V{which + 1} = {state.traps[which, i, j]:.3e})")
+        else:
+            row, _, col = couplings[which - 5]
+            cause = f"the {names[which - 5]} coupling of levels {row + 1} and {col + 1}"
+        advisory = advisory_dt(state.grid)
+        verdict = "exceeds" if self.dt > advisory else "is within"
+        return (f"local propagator series did not converge in {_SERIES_MAX_TERMS} terms: "
+                f"dt*max|M| = {sizes[which]:.3e}, set by {cause} at grid point ({i}, {j}); "
+                f"dt = {self.dt:g} {verdict} the advisory bound {advisory:.6g}")
 
 
 def step(

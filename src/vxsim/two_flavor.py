@@ -17,15 +17,18 @@ grid exactly (not just in the continuum).
 The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
 field is static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
-Both flavors are one stacked ``(2, nx, ny)`` field under one operator, and
-each observed stretch is one Chebyshev expansion of the operator
-exponential (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967): three
-vectors, no reorthogonalization and no step control.  The expansion needs
-the spectrum's bounds, found once per call: the least local potential
-bounds it below exactly, and a short Lanczos run plus its residual bounds
-it above (Zhou & Li, Linear Algebra Appl. 435 (2011) 480).  Per-flavor
-norms are conserved to machine precision; a norm that moves by more than
-``_NORM_TOL`` means the upper bound was too low.
+Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
+propagated by a Chebyshev expansion of the operator exponential (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81 (1984) 3967): three vectors, no
+reorthogonalization and no step control.  Its vectors do not depend on the
+time, so one recurrence serves up to ``_GROUP`` consecutive observed steps,
+each summed into its own accumulator; the next group starts from the last
+state of the one before.  The expansion needs the spectrum's bounds, found
+once per call: the least local potential bounds it below exactly, and a
+short Lanczos run plus its residual bounds it above (Zhou & Li, Linear
+Algebra Appl. 435 (2011) 480).  Per-flavor norms are conserved to machine
+precision; a norm that moves by more than ``_NORM_TOL`` means the upper
+bound was too low.
 """
 
 from __future__ import annotations
@@ -46,13 +49,18 @@ __all__ = ["KrylovWork", "evolve_two_flavor"]
 _BOUND_STEPS = 20
 # Largest relative change of a flavor's norm from its initial value.
 _NORM_TOL = 1e-10
+# Observed steps one Chebyshev recurrence serves.  Each holds one whole
+# state as its accumulator until the recurrence ends, so this caps the
+# memory: 25 observed stretches at 64^2 take 720 matvecs one at a time, 396
+# in groups of 4 and 239 in one group, whose 25 accumulators add 3.2 MB.
+_GROUP = 4
 
 
 @dataclass
 class KrylovWork:
-    """Solver work of the reduced propagator: Chebyshev advances (one per
-    observed stretch) and applications of the stacked two-flavor operator,
-    the bound estimate's included."""
+    """Solver work of the reduced propagator: Chebyshev recurrences (one per
+    group of up to ``_GROUP`` observed steps) and applications of the
+    stacked two-flavor operator, the bound estimate's included."""
 
     krylov_steps: int = 0
     matvecs: int = 0
@@ -163,36 +171,48 @@ def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
     return float(local.min()), float(theta[-1] + abs(betas[-1] * s[-1, -1]))
 
 
-def _chebyshev_advance(op, phi: np.ndarray, t: float, lo: float, hi: float,
-                       work: KrylovWork) -> np.ndarray:
-    """``exp(-i t H) phi`` for ``H`` with spectrum in ``[lo, hi]``.
+def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
+                       work: KrylovWork):
+    """Yield ``exp(-i t H) phi`` for each of the increasing ``times``, in
+    order, for ``H`` with spectrum in ``[lo, hi]``.
 
     With ``H = mid + half * X`` the expansion is
     ``exp(-i mid t) sum_k (2 - [k = 0]) (-i)^k J_k(half t) T_k(X)``; the
     Bessel factors fall off faster than exponentially once ``k > half t``,
-    and the sum stops where they drop below 1e-16.
+    and a time's sum stops where they drop below 1e-16.  The vectors
+    ``T_k(X) phi`` do not depend on ``t``, so one three-term recurrence
+    serves every time (Kosloff, Annu. Rev. Phys. Chem. 45 (1994) 145), each
+    with its own accumulator.  A time's state is yielded as soon as its sum
+    is complete, while the recurrence runs on for the later times; it is
+    not touched after that.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    z = half * t
+    z = half * np.asarray(times, dtype=float)
     # the last term above 1e-16 lies near z + 12 z^(1/3); this length covers it
-    k = np.arange(int(z + 20.0 * z ** (1.0 / 3.0)) + 40)
-    coef = jv(k, z)
-    n = max(2, int(np.nonzero(np.abs(coef) >= 1e-16)[0][-1]) + 1)
-    coef = 2.0 * (-1j) ** k[:n] * coef[:n]
-    coef[0] *= 0.5
+    k = np.arange(int(z[-1] + 20.0 * z[-1] ** (1.0 / 3.0)) + 40)
+    coef = jv(k, z[:, None])
+    above = np.abs(coef) >= 1e-16
+    # terms per time: a later time never needs fewer than an earlier one
+    n_terms = np.maximum.accumulate([max(2, int(np.nonzero(row)[0][-1]) + 1) for row in above])
+    coef = 2.0 * (-1j) ** k * coef
+    coef[:, 0] *= 0.5
 
     def x(v):  # (H - mid) / half
+        work.matvecs += 1
         return (op(v) - mid * v) / half
 
-    prev, cur = phi, x(phi)
-    out = coef[0] * prev + coef[1] * cur
-    for c in coef[2:]:
-        prev, cur = cur, 2.0 * x(cur) - prev
-        out += c * cur
     work.krylov_steps += 1
-    work.matvecs += n - 1
-    out *= np.exp(-1j * mid * t)
-    return out
+    prev, cur = phi, x(phi)
+    outs = [c[0] * prev + c[1] * cur for c in coef]
+    n = 2  # terms summed so far
+    for j, end in enumerate(n_terms):
+        while n < end:
+            prev, cur = cur, 2.0 * x(cur) - prev
+            for out, c in zip(outs[j:], coef[j:]):
+                out += c[n] * cur
+            n += 1
+        outs[j] *= np.exp(-1j * mid * times[j])
+        yield outs[j]
 
 
 def evolve_two_flavor(
@@ -216,16 +236,18 @@ def evolve_two_flavor(
     ``a`` is the common gauge field; flavor 2 sees ``+a``, flavor 3 ``-a``.
     ``callback(step_index, phi2, phi3)``, if given, runs after
     ``step_index + 1`` steps for each count in ``observe``, and after the
-    last step.  The propagator advances straight from one such step to the
-    next in one Chebyshev advance.  A count outside ``1..n_steps`` raises
-    ``ValueError``.  Pass a :class:`KrylovWork` as ``work`` to have the
-    solver work added to it.
+    last step.  The propagator lands only on those steps: one Chebyshev
+    recurrence from the last state of the group before yields the states of
+    up to ``_GROUP`` of them in order, and each is checked and handed to the
+    callback as soon as its sum is complete.  A count outside
+    ``1..n_steps`` raises ``ValueError``.  Pass a :class:`KrylovWork` as
+    ``work`` to have the solver work added to it.
 
     Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > a_max``
     anywhere the background or flavor fields are non-negligible, and
     :class:`~vxsim.errors.DivergenceError` if the evolution produces
-    non-finite values or an advance moves a flavor's norm by more than
-    ``_NORM_TOL`` (the spectral bound was too low).
+    non-finite values or an observed state's flavor norm has moved by more
+    than ``_NORM_TOL`` (the spectral bound was too low).
     """
     ends = observed_steps(observe, n_steps)
     phi2 = np.asarray(phi2, dtype=np.complex128)
@@ -252,18 +274,20 @@ def evolve_two_flavor(
     norms = np.linalg.norm(phi, axis=(1, 2))
     scale = np.where(norms > 0.0, norms, 1.0)
     done = 0
-    for end in ends:
-        phi = _chebyshev_advance(op, phi, (end - done) * dt, lo, hi, work)
-        done = end
-        if not np.all(np.isfinite(phi)):
-            raise DivergenceError("non-finite flavor fields", step=end - 1)
-        drift = float(np.max(np.abs(np.linalg.norm(phi, axis=(1, 2)) - norms) / scale))
-        if drift > _NORM_TOL:
-            raise DivergenceError(
-                f"flavor norm moved by {drift:.3e}; the "
-                f"spectral bound {hi:.6g} is below the top of the spectrum",
-                step=end - 1,
-            )
-        if callback is not None:
-            callback(end - 1, phi[0], phi[1])
+    for first in range(0, len(ends), _GROUP):
+        group = ends[first:first + _GROUP]
+        times = [(end - done) * dt for end in group]
+        for end, phi in zip(group, _chebyshev_advance(op, phi, times, lo, hi, work)):
+            if not np.all(np.isfinite(phi)):
+                raise DivergenceError("non-finite flavor fields", step=end - 1)
+            drift = float(np.max(np.abs(np.linalg.norm(phi, axis=(1, 2)) - norms) / scale))
+            if drift > _NORM_TOL:
+                raise DivergenceError(
+                    f"flavor norm moved by {drift:.3e}; the "
+                    f"spectral bound {hi:.6g} is below the top of the spectrum",
+                    step=end - 1,
+                )
+            if callback is not None:
+                callback(end - 1, phi[0], phi[1])
+        done = group[-1]
     return phi[0], phi[1]

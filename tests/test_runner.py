@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from collections import Counter
 
@@ -66,14 +67,14 @@ def test_summary_rows_match_header(tmp_path, every):
 @pytest.mark.parametrize("mode", ["effective", "compare"])
 def test_krylov_work_reported_and_repeatable(tmp_path, mode):
     # snapshots every 5 steps cut the 20 (effective) or 10 (compare) hold
-    # steps into stretches of one Chebyshev advance each
-    stretches = {"effective": 4, "compare": 2}[mode]
+    # steps into 4 or 2 observed stretches, which one Chebyshev recurrence
+    # serves
     text = f"run.mode = {mode}\nrun.n_steps = 20\nrun.ramp_time = 0.04\nrun.snapshot_every = 5\n"
     a = run_text(tmp_path, text, "a")
     b = run_text(tmp_path, text, "b")
     assert a.exit_code == b.exit_code == 0
     steps, matvecs = a.values["effective.krylov_steps"], a.values["effective.matvecs"]
-    assert steps == stretches
+    assert steps == 1
     assert matvecs > 0
     assert (steps, matvecs) == (b.values["effective.krylov_steps"], b.values["effective.matvecs"])
     assert f"effective.matvecs = {matvecs}" in (a.out_dir / "report.txt").read_text()
@@ -136,6 +137,18 @@ def test_reduced_branch_calls_through_traced_module_names(tmp_path, monkeypatch)
     matvecs = rep.values["effective.matvecs"]
     assert calls["evolve_two_flavor"] == calls["eigh_tridiagonal"] == 1
     assert calls["fft2"] == calls["ifft2"] == 3 * matvecs
+
+
+def test_series_divergence_names_its_entry_not_dt(tmp_path):
+    # a strong probe on this coarse grid gets engineered traps near 1e10,
+    # while dt = 0.004 is far below the advisory bound
+    rep = run_text(tmp_path, "beam.p1.peak = 2.0\nrun.mode = full\nrun.n_steps = 4\n")
+    assert rep.exit_code == 3
+    error = rep.values["error"]
+    assert re.search(r"dt\*max\|M\| = \S+, set by the level-\d diagonal \(trap V\d = ", error)
+    assert "grid point" in error
+    assert "is within the advisory bound" in error
+    assert "far above" not in error and "exceeds" not in error
 
 
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from vxsim import two_flavor
 from vxsim._fft import fft2, ifft2
@@ -206,10 +209,67 @@ def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
     evolve_two_flavor(
         seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
     )
-    # one advance per observed stretch, for both flavors at once
-    assert stepped.krylov_steps == 100
+    # one recurrence per group of up to four observed steps, for both
+    # flavors at once
+    assert stepped.krylov_steps == 25
     assert held.krylov_steps == 1
     assert 0 < held.matvecs <= stepped.matvecs // 2
+
+
+def _terms(z):
+    """Chebyshev terms of one time: up to the last Bessel factor >= 1e-16."""
+    coef = np.abs(jv(np.arange(int(z) + 200), z))
+    return max(2, int(np.nonzero(coef >= 1e-16)[0][-1]) + 1)
+
+
+def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_background):
+    seed, vg, veff, rho = vortex_background
+    dt, ends = 0.01, list(range(5, 41, 5))
+    work = KrylovWork()
+    seen = []
+    evolve_two_flavor(
+        seed, np.conj(seed), vg, veff, veff, rho, 0.5, dt, 40, grid64,
+        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        observe=ends, work=work,
+    )
+    assert [i + 1 for i, _, _ in seen] == ends
+    # reference: a chain of calls that each advance one stretch
+    p2, p3 = seed, np.conj(seed)
+    for _, s2, s3 in seen:
+        p2, p3 = evolve_two_flavor(p2, p3, vg, veff, veff, rho, 0.5, dt, 5, grid64)
+        peak = max(np.abs(p2).max(), np.abs(p3).max())
+        assert np.abs(s2 - p2).max() <= 1e-12 * peak
+        assert np.abs(s3 - p3).max() <= 1e-12 * peak
+
+    # two groups of four observed steps, 20 steps each; a group's one
+    # recurrence is as long as its last time needs
+    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
+    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    group_terms = _terms(0.5 * (hi - lo) * 20 * dt)
+    assert work.matvecs == two_flavor._BOUND_STEPS + 2 * (group_terms - 1)
+    assert work.krylov_steps == 2
+
+
+def test_grouping_bounds_memory(grid64, vortex_background):
+    # every time of a group holds its own accumulator, one state, until the
+    # recurrence ends: a group of four holds three states more than one
+    # unobserved stretch, where one recurrence over all 25 steps would hold
+    # 24 more
+    seed, vg, veff, rho = vortex_background
+    seed3 = np.conj(seed)
+    state = seed.nbytes + seed3.nbytes
+
+    def peak(observe):
+        tracemalloc.start()
+        try:
+            evolve_two_flavor(seed, seed3, vg, veff, veff, rho, 0.5, 0.01, 25, grid64,
+                              observe=observe)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(range(1, 26)) - peak(()) <= 4 * state
 
 
 def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
@@ -245,7 +305,7 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     t = 1.0
     advance = KrylovWork()
-    out = two_flavor._chebyshev_advance(op, np.stack([psi0, psi0]), t, lo, hi, advance)
+    (out,) = two_flavor._chebyshev_advance(op, np.stack([psi0, psi0]), [t], lo, hi, advance)
     z = 0.5 * (hi - lo) * t
     assert advance.krylov_steps == 1
     assert advance.matvecs <= z + 12.0 * z ** (1.0 / 3.0) + 40
