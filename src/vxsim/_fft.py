@@ -21,9 +21,11 @@ def get_workers() -> int:
     return _workers
 
 
-def fft2(a):
-    return _sfft.fft2(a, workers=_workers)
+def fft2(a, overwrite_x=False):
+    """2-D transform over the last two axes; ``overwrite_x=True`` lets scipy
+    write the result into ``a`` (complex input), with the same values."""
+    return _sfft.fft2(a, overwrite_x=overwrite_x, workers=_workers)
 
 
-def ifft2(a):
-    return _sfft.ifft2(a, workers=_workers)
+def ifft2(a, overwrite_x=False):
+    return _sfft.ifft2(a, overwrite_x=overwrite_x, workers=_workers)

@@ -55,8 +55,9 @@ class MatterState:
 
     ``phi`` has shape (5, nx, ny).  ``traps`` has shape (5, nx, ny) and holds
     the component potentials V1..V5.  Functions that advance a state mutate it
-    in place and return it; callers that need the old state must copy first
-    (states are cheap: ``state.copy()``).
+    in place and return it: each step overwrites the buffer of ``phi``, so
+    callers and callbacks that keep a state or a component of it must copy
+    it (states are cheap: ``state.copy()``).
     """
 
     grid: SpectralGrid
@@ -169,10 +170,14 @@ class SplitStepper:
     ``observe``; ``closed`` says whether the latest step was one.
 
     Built once per run from the beams: holds both kinetic phases and the
-    Rabi fields with their conjugates, pre-scaled by ``-i*dt``.  The ramp
-    enters each step as a scalar ``scale`` on the probe pair.  The mean field
-    uses the total density of the three lower components at the pre-step
-    time.
+    Rabi fields with their conjugates, pre-scaled by ``-i*dt``, and the work
+    arrays of the local series, sized from the beams' grid, so that a step
+    makes no field-sized temporaries.  The ramp enters each step as a scalar ``scale`` on
+    the probe pair.  The mean field uses the total density of the three
+    lower components at the pre-step time.  Steps transform ``state.phi`` in
+    place and overwrite its buffer; a state of another grid shape raises
+    ``ValueError``.  ``terms`` counts the local series terms summed over
+    blocks and steps.
     """
 
     def __init__(self, beams: BeamSet, dt: float, n_steps: int = 1, observe=()):
@@ -183,6 +188,7 @@ class SplitStepper:
         self._observed = frozenset(observed_steps(observe, n_steps))
         self.index = 0
         self.closed = True
+        self.terms = 0
         k2 = beams.grid.k2
         self._half = np.exp(-0.25j * k2 * dt)
         self._full = np.exp(-0.5j * k2 * dt)
@@ -194,9 +200,26 @@ class SplitStepper:
         self._probes = (f * np.conj(op1), f * np.conj(op2), f * op1, f * op2)
         self._controls = (f * np.conj(oc1), f * np.conj(oc2), f * oc1, f * oc2)
         self._eps = np.array([0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15])
+        self._shape = beams.grid.shape
+        nx, ny = self._shape
+        # grid sizes are powers of two, so the blocks tile the grid exactly
+        rows = min(nx, max(1, _BLOCK_POINTS // ny))
+        self._blocks = [slice(start, start + rows) for start in range(0, nx, rows)]
+        # work arrays of one block: two series terms, a product, the lower
+        # density, the diagonal and the ramp-scaled probes
+        self._terms = np.empty((2, 5, rows, ny), dtype=np.complex128)
+        self._tmp = np.empty((rows, ny), dtype=np.complex128)
+        self._rho_low = np.empty((rows, ny))
+        self._diag = np.empty((5, rows, ny), dtype=np.complex128)
+        self._scaled = np.empty((4, rows, ny), dtype=np.complex128)
+
+    def _check_shape(self, state: MatterState):
+        if state.grid.shape != self._shape:
+            raise ValueError(f"state grid {state.grid.shape} is not the stepper's {self._shape}")
 
     def advance(self, state: MatterState, scale: float = 1.0):
         """Take the run's next step; ``state.t`` advances by ``dt``."""
+        self._check_shape(state)
         if self.index >= self.n_steps:
             raise ValueError(f"all {self.n_steps} steps of this stepper are taken")
         self._kick(state, self._half if self.closed else self._full)
@@ -208,9 +231,9 @@ class SplitStepper:
         self.index += 1
 
     def _kick(self, state: MatterState, phase: np.ndarray):
-        spec = fft2(state.phi)
+        spec = fft2(state.phi, overwrite_x=True)
         spec *= phase
-        state.phi = ifft2(spec)
+        state.phi = ifft2(spec, overwrite_x=True)
 
     def local(self, state: MatterState, scale: float = 1.0):
         """phi <- exp(-i*dt*M) phi by an adaptively truncated power series.
@@ -222,36 +245,41 @@ class SplitStepper:
         block's fields, term buffers and couplings stay in cache across its
         terms.  Terms are added to ``state.phi`` in place.
         """
+        self._check_shape(state)
         phi = state.phi
-        ref = float(np.max(np.abs(phi)))
+        # the diagonal's buffer holds each block's |phi| until the series
+        ref = float(np.max([np.abs(phi[:, b], out=self._diag.real).max() for b in self._blocks]))
         if not np.isfinite(ref):
             # NaN never satisfies the convergence test; report the real problem
             raise DivergenceError("non-finite field values", step=self.index)
         # max(|Re|, |Im|) <= tol/sqrt(2) implies |term| <= tol
         tol = 1e-16 * ref / math.sqrt(2.0)
-        nx, ny = state.grid.shape
-        # grid sizes are powers of two, so the blocks tile the grid exactly
-        rows = min(nx, max(1, _BLOCK_POINTS // ny))
-        buffers = np.empty((2, 5, rows, ny), dtype=np.complex128)
-        tmp = np.empty((rows, ny), dtype=np.complex128)
-        for start in range(0, nx, rows):
-            self._local_block(state, slice(start, start + rows), scale, buffers, tmp, tol)
+        for block in self._blocks:
+            self._local_block(state, block, scale, tol)
 
-    def _local_block(self, state, block, scale, buffers, tmp, tol):
+    def _local_block(self, state, block, scale, tol):
         phi = state.phi[:, block]
-        rho_low = np.zeros(tmp.shape)
+        tmp, rho_low, diag = self._tmp, self._rho_low, self._diag
+        rho_low.fill(0.0)
         for p in phi[:3]:
-            rho_low += p.real**2
-            rho_low += p.imag**2
-        diag = state.traps[:, block] + self._eps[:, None, None]
-        diag[:3] += state.u * rho_low
-        diag = diag * (-1j * self.dt)
-        p1c, p2c, p1, p2 = (scale * a[block] for a in self._probes)
+            for part in (p.real, p.imag):
+                np.square(part, out=tmp.real)
+                rho_low += tmp.real
+        # the real diagonal, then times -i*dt as a complex number with a
+        # zero imaginary part, like the cast of a real array
+        diag.imag = 0.0
+        np.add(state.traps[:, block], self._eps[:, None, None], out=diag.real)
+        np.multiply(state.u, rho_low, out=rho_low)
+        diag.real[:3] += rho_low
+        diag *= -1j * self.dt
+        for out, a in zip(self._scaled, self._probes):
+            np.multiply(scale, a[block], out=out)
+        p1c, p2c, p1, p2 = self._scaled
         c1c, c2c, c1, c2 = (a[block] for a in self._controls)
         couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
                      (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
         # term k is built from term k-1 in the other buffer; term 0 is phi
-        src, term = buffers
+        src, term = self._terms
         src[...] = phi
         for k in range(1, _SERIES_MAX_TERMS + 1):
             np.multiply(diag, src, out=term)
@@ -263,6 +291,7 @@ class SplitStepper:
             flat = term.view(np.float64)
             size = max(float(flat.max()), -float(flat.min()))
             if size <= tol:
+                self.terms += k
                 return
             if not math.isfinite(size):
                 raise DivergenceError("non-finite field values", step=self.index)
@@ -316,7 +345,8 @@ def step(
 
 @dataclass
 class LoadingResult:
-    """Outcome of an adiabatic loading run."""
+    """Outcome of an adiabatic loading run; ``series_terms`` is the local
+    series terms of all steps, summed over blocks."""
 
     state: MatterState
     dark_state_error: float
@@ -325,6 +355,7 @@ class LoadingResult:
     norm_initial: float
     norm_final: float
     n_steps: int
+    series_terms: int
 
     @property
     def norm_drift(self) -> float:
@@ -366,18 +397,21 @@ def run_adiabatic_loading(
     given, is called as ``snapshot_cb(step_index, state)`` after each
     observed step: after ``step_index + 1`` steps for each count in
     ``observe``, and after the last step.  Kinetic half-steps fuse between
-    observed steps, so fewer observed steps mean fewer transforms.  A count
-    outside ``1..n_steps`` raises ``ValueError``.
+    observed steps, so fewer observed steps mean fewer transforms.  Each
+    step overwrites ``state.phi``'s buffer, so ``snapshot_cb`` must copy what
+    it keeps.  A count outside ``1..n_steps`` raises ``ValueError``.
 
     Emits :class:`~vxsim.errors.AdiabaticityWarning` when the final
     dark-state fidelity ``1 - error`` falls below ``fidelity_floor``.
     """
-    stepper = SplitStepper(beams, dt, n_steps, observe)
     norm0 = state.norm()
+    stepper = SplitStepper(beams, dt, n_steps, observe)
     for i in range(n_steps):
         step(state, beams, dt, scale=ramp.envelope(state.t + 0.5 * dt), stepper=stepper)
         if snapshot_cb is not None and stepper.closed:
             snapshot_cb(i, state)
+    series_terms = stepper.terms
+    del stepper  # its work arrays are not needed by the checks below
     s_final = ramp.envelope(state.t)
     err = dark_state_error(state, beams, scale=s_final)
     pops = state.populations()
@@ -390,6 +424,7 @@ def run_adiabatic_loading(
         norm_initial=norm0,
         norm_final=state.norm(),
         n_steps=n_steps,
+        series_terms=series_terms,
     )
     if 1.0 - err < fidelity_floor:
         warnings.warn(

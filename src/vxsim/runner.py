@@ -355,6 +355,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
         values["full.p4"] = result.p4
         values["full.p5"] = result.p5
         values["full.norm_drift"] = result.norm_drift
+        values["full.series_terms"] = result.series_terms
         _winding_values(values, "full", cfg, grid, state.phi[1], state.phi[2], loop)
         gates.append((result.norm_drift, n_steps))
         for alpha in (1, 2, 3):

@@ -53,6 +53,9 @@ _NORM_TOL = 1e-10
 # state as its accumulator until the recurrence ends, so this caps the
 # memory: 25 observed stretches at 64^2 take 720 matvecs one at a time, 396
 # in groups of 4 and 239 in one group, whose 25 accumulators add 3.2 MB.
+# Beside the accumulators, a recurrence holds a fixed seven states whatever
+# the group size: its three vectors and product temp, and the operator's
+# three work arrays.
 _GROUP = 4
 
 
@@ -114,6 +117,13 @@ class _FlavorOperator:
     multiplier, so this combination is Hermitian on the grid even where
     pointwise products alias; the naive a.D + (div a)/2 form is not, and the
     expansion would amplify the defect.  In the continuum the two agree.
+
+    A call computes
+    ``ifft2(half_k2 f + 0.5j (ikx fft2(aqx phi) + iky fft2(aqy phi)))
+    + 0.5j (aqx ifft2(ikx f) + aqy ifft2(iky f)) + local phi`` with
+    ``f = fft2(phi)``, in place in the operator's three work arrays and in
+    ``out``, which is scratch until the final sum; given ``out`` (not
+    ``phi`` itself), a call makes no field-sized temporaries.
     """
 
     def __init__(self, grid: SpectralGrid, aq: np.ndarray, local: np.ndarray):
@@ -123,16 +133,40 @@ class _FlavorOperator:
         self.aqx = aq[:, 0]
         self.aqy = aq[:, 1]
         self.local = local + 0.5 * (self.aqx**2 + self.aqy**2)
+        self._work = np.empty((3,) + local.shape, dtype=np.complex128)
 
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
-        f = fft2(phi)
-        a_dot_grad = self.aqx * ifft2(self.ikx * f) + self.aqy * ifft2(self.iky * f)
+    def __call__(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``H phi`` into ``out`` (a new array if None); ``phi`` is not written."""
+        if out is None:
+            out = np.empty(phi.shape, dtype=np.complex128)
+        f, g, h = self._work
+        np.copyto(f, phi)
+        f = fft2(f, overwrite_x=True)
+        # g <- aqx ifft2(ikx f) + aqy ifft2(iky f), the a.grad piece
+        np.multiply(self.ikx, f, out=g)
+        g = ifft2(g, overwrite_x=True)
+        np.multiply(self.aqx, g, out=g)
+        np.multiply(self.iky, f, out=h)
+        h = ifft2(h, overwrite_x=True)
+        np.multiply(self.aqy, h, out=h)
+        g += h
         # the kinetic and divergence pieces share one inverse transform
-        kinetic_and_div = ifft2(
-            self.half_k2 * f
-            + 0.5j * (self.ikx * fft2(self.aqx * phi) + self.iky * fft2(self.aqy * phi))
-        )
-        return kinetic_and_div + 0.5j * a_dot_grad + self.local * phi
+        np.multiply(self.aqx, phi, out=h)
+        h = fft2(h, overwrite_x=True)
+        np.multiply(self.ikx, h, out=h)
+        np.multiply(self.aqy, phi, out=out)
+        w = fft2(out, overwrite_x=True)
+        np.multiply(self.iky, w, out=w)
+        h += w
+        np.multiply(0.5j, h, out=h)
+        np.multiply(self.half_k2, f, out=f)
+        f += h
+        f = ifft2(f, overwrite_x=True)
+        np.multiply(0.5j, g, out=g)
+        np.multiply(self.local, phi, out=h)
+        np.add(f, g, out=out)
+        out += h
+        return out
 
 
 def eigh_tridiagonal(d, e):
@@ -156,19 +190,31 @@ def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
     v = rng.standard_normal(local.shape) + 1j * rng.standard_normal(local.shape)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
+    w, t = np.empty((2,) + v.shape, dtype=np.complex128)
     alphas, betas = [], []
     beta = 0.0
     for _ in range(_BOUND_STEPS):
-        w = op(v)
+        op(v, out=w)
         alpha = float(np.vdot(v, w).real)
-        w -= alpha * v + beta * v_prev
+        # w -= alpha * v + beta * v_prev, and v_prev is free after it
+        np.multiply(alpha, v, out=t)
+        np.multiply(beta, v_prev, out=v_prev)
+        t += v_prev
+        w -= t
         alphas.append(alpha)
         beta = float(np.linalg.norm(w))
         betas.append(beta)
-        v_prev, v = v, w / beta
+        np.divide(w, beta, out=v_prev)
+        v_prev, v = v, v_prev
     work.matvecs += _BOUND_STEPS
     theta, s = eigh_tridiagonal(alphas, betas[:-1])
     return float(local.min()), float(theta[-1] + abs(betas[-1] * s[-1, -1]))
+
+
+def _flavor_norms(phi: np.ndarray) -> np.ndarray:
+    """L2 norm of each flavor; unlike ``norm(phi, axis=(1, 2))`` it makes no
+    whole-field temporaries."""
+    return np.array([np.linalg.norm(p) for p in phi])
 
 
 def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
@@ -184,7 +230,8 @@ def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
     serves every time (Kosloff, Annu. Rev. Phys. Chem. 45 (1994) 145), each
     with its own accumulator.  A time's state is yielded as soon as its sum
     is complete, while the recurrence runs on for the later times; it is
-    not touched after that.
+    not touched after that, and neither is ``phi``.  The recurrence rotates
+    three vectors and one product temp, allocated once per call.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = half * np.asarray(times, dtype=float)
@@ -197,19 +244,35 @@ def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
     coef = 2.0 * (-1j) ** k * coef
     coef[:, 0] *= 0.5
 
-    def x(v):  # (H - mid) / half
+    prev, cur, nxt, prod = np.empty((4,) + phi.shape, dtype=np.complex128)
+
+    def x(v, out):  # (H - mid) / half
         work.matvecs += 1
-        return (op(v) - mid * v) / half
+        op(v, out=prod)
+        np.multiply(mid, v, out=out)
+        np.subtract(prod, out, out=out)
+        out /= half
 
     work.krylov_steps += 1
-    prev, cur = phi, x(phi)
-    outs = [c[0] * prev + c[1] * cur for c in coef]
+    np.copyto(prev, phi)
+    x(prev, cur)
+    outs = []
+    for c in coef:
+        out = c[0] * prev
+        np.multiply(c[1], cur, out=prod)
+        out += prod
+        outs.append(out)
     n = 2  # terms summed so far
     for j, end in enumerate(n_terms):
         while n < end:
-            prev, cur = cur, 2.0 * x(cur) - prev
+            # nxt <- 2 X cur - prev
+            x(cur, nxt)
+            np.multiply(2.0, nxt, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
             for out, c in zip(outs[j:], coef[j:]):
-                out += c[n] * cur
+                np.multiply(c[n], cur, out=prod)
+                out += prod
             n += 1
         outs[j] *= np.exp(-1j * mid * times[j])
         yield outs[j]
@@ -271,7 +334,7 @@ def evolve_two_flavor(
     lo, hi = _spectral_bounds(op, local, work)
 
     phi = np.stack([phi2, phi3])
-    norms = np.linalg.norm(phi, axis=(1, 2))
+    norms = _flavor_norms(phi)
     scale = np.where(norms > 0.0, norms, 1.0)
     done = 0
     for first in range(0, len(ends), _GROUP):
@@ -280,7 +343,7 @@ def evolve_two_flavor(
         for end, phi in zip(group, _chebyshev_advance(op, phi, times, lo, hi, work)):
             if not np.all(np.isfinite(phi)):
                 raise DivergenceError("non-finite flavor fields", step=end - 1)
-            drift = float(np.max(np.abs(np.linalg.norm(phi, axis=(1, 2)) - norms) / scale))
+            drift = float(np.max(np.abs(_flavor_norms(phi) - norms) / scale))
             if drift > _NORM_TOL:
                 raise DivergenceError(
                     f"flavor norm moved by {drift:.3e}; the "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -322,9 +324,9 @@ def test_fused_loading_transform_count(monkeypatch, weak_beams64, grid64, every,
     # the observed steps: the last alone, or 4, 9, 14, 19 and 22
     calls = {"fft2": 0, "ifft2": 0}
     for name in calls:
-        def counted(a, _fn=getattr(evolution, name), _name=name):
+        def counted(a, _fn=getattr(evolution, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(a)
+            return _fn(a, **kwargs)
 
         monkeypatch.setattr(evolution, name, counted)
     observe = {} if every is None else {"snapshot_cb": lambda i, st: None,
@@ -367,8 +369,8 @@ def test_fused_step_divergence_names_its_step(monkeypatch, weak_beams64, grid64)
     real = evolution.ifft2
     count = [0]
 
-    def poisoned(a):
-        out = real(a)
+    def poisoned(a, **kwargs):
+        out = real(a, **kwargs)
         count[0] += 1
         if count[0] == 8:
             out[0, 3, 3] = np.nan
@@ -378,3 +380,33 @@ def test_fused_step_divergence_names_its_step(monkeypatch, weak_beams64, grid64)
     with pytest.raises(DivergenceError, match="non-finite") as exc:
         run_adiabatic_loading(_loaded_state(grid64, 0.4), weak_beams64, 0.004, 20, Ramp(0.2))
     assert exc.value.step == 7
+
+
+@pytest.mark.filterwarnings("ignore::vxsim.errors.AdiabaticityWarning")
+def test_stepping_allocates_no_state(weak_beams64, grid64):
+    # the stepper's work arrays are built once per run and the kicks
+    # transform state.phi in place, so steps after the first make no
+    # (5, nx, ny) temporaries; per-step kick outputs would add two each
+    state = _loaded_state(grid64, 0.4)
+    stepper = SplitStepper(weak_beams64, 0.016, n_steps=11, observe=range(1, 12))
+    stepper.advance(state, 0.5)
+    buffer = state.phi
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            stepper.advance(state, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < state.phi.nbytes
+    assert np.shares_memory(state.phi, buffer)
+    assert stepper.index == 11 and stepper.terms > 0
+
+
+def test_stepper_rejects_another_grid(weak_beams64, grid16):
+    stepper = SplitStepper(weak_beams64, 0.004, n_steps=2)
+    for call in (stepper.advance, stepper.local):
+        with pytest.raises(ValueError, match=r"state grid \(16, 16\)"):
+            call(_blank_state(grid16))
+    assert stepper.index == 0 and stepper.terms == 0

@@ -80,6 +80,15 @@ def test_krylov_work_reported_and_repeatable(tmp_path, mode):
     assert f"effective.matvecs = {matvecs}" in (a.out_dir / "report.txt").read_text()
 
 
+def test_series_terms_reported_and_repeatable(tmp_path):
+    text = "run.mode = full\nrun.n_steps = 6\nrun.ramp_time = 0.012\n"
+    first = run_text(tmp_path, text, "first")
+    second = run_text(tmp_path, text, "second")
+    assert first.exit_code == second.exit_code == 0
+    assert first.values["full.series_terms"] == second.values["full.series_terms"] > 0
+    assert "full.series_terms = " in (first.out_dir / "report.txt").read_text()
+
+
 def test_snapshots_off_the_ramp_end_leave_the_comparison_unchanged(tmp_path, monkeypatch):
     # 7 does not divide the 12 ramp steps: the snapshots at 7, 14 and 21, the
     # ramp end and the last step are observed, where without snapshots only
@@ -88,9 +97,9 @@ def test_snapshots_off_the_ramp_end_leave_the_comparison_unchanged(tmp_path, mon
     text = "run.mode = compare\nrun.n_steps = 24\nrun.ramp_time = 0.048\n"
     calls = Counter()
 
-    def counted(a, _fn=evolution.fft2):
+    def counted(a, _fn=evolution.fft2, **kwargs):
         calls["fft2"] += 1
-        return _fn(a)
+        return _fn(a, **kwargs)
 
     monkeypatch.setattr(evolution, "fft2", counted)
     fused = run_text(tmp_path, text + "run.snapshot_every = 0\n", "fused")

@@ -335,3 +335,56 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
     ref_lo, ref_hi = two_flavor._spectral_bounds(op, local, KrylovWork())
     assert lo == ref_lo
     assert hi == pytest.approx(ref_hi, rel=1e-12)
+
+
+def test_operator_writes_out_and_allocates_nothing(grid128):
+    # within one call numpy's ufunc iterator buffers up to 8192 elements of a
+    # broadcast or cast operand: a whole stacked state at 64^2, a quarter of
+    # one at 128^2, where the allocating form raised the peak by 6.3 states
+    r = grid128.r_map
+    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * grid128.phi_map)
+    vg = vortex_gauge_field(grid128, 1)
+    local = np.stack([0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0)] * 2)
+    op = two_flavor._FlavorOperator(grid128, np.stack([vg, -vg]), local)
+    phi = np.stack([seed, np.conj(seed)])
+    before = phi.copy()
+    out = np.empty_like(phi)
+    assert op(phi, out) is out
+    assert np.array_equal(phi, before)
+    # the allocating form of the same products and sums, in the same order,
+    # gives the same values
+    f = fft2(phi)
+    a_dot_grad = op.aqx * ifft2(op.ikx * f) + op.aqy * ifft2(op.iky * f)
+    kinetic_and_div = ifft2(
+        op.half_k2 * f + 0.5j * (op.ikx * fft2(op.aqx * phi) + op.iky * fft2(op.aqy * phi))
+    )
+    assert np.array_equal(out, kinetic_and_div + 0.5j * a_dot_grad + op.local * phi)
+    assert np.array_equal(op(phi), out)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            op(phi, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < phi.nbytes
+
+
+def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_background):
+    # the recurrence works in its own vectors: a state it has yielded, and
+    # the vector it started from, keep their values while it runs on
+    seed, vg, veff, rho = vortex_background
+    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
+    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    phi = np.stack([seed, np.conj(seed)])
+    start = phi.copy()
+    seen = []
+    for out in two_flavor._chebyshev_advance(op, phi, [0.05, 0.1, 0.2], lo, hi, KrylovWork()):
+        seen.append((out, out.copy()))
+    assert np.array_equal(phi, start)
+    assert len({id(out) for out, _ in seen}) == 3
+    for out, at_yield in seen:
+        assert np.array_equal(out, at_yield)
