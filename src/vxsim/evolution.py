@@ -206,10 +206,13 @@ class SplitStepper:
         rows = min(nx, max(1, _BLOCK_POINTS // ny))
         self._blocks = [slice(start, start + rows) for start in range(0, nx, rows)]
         # work arrays of one block: two series terms, a product, the lower
-        # density, the diagonal and the ramp-scaled probes
+        # density, a real scratch, the diagonal and the ramp-scaled probes;
+        # the real ones are contiguous, which numpy writes faster than the
+        # real part of a complex array
         self._terms = np.empty((2, 5, rows, ny), dtype=np.complex128)
         self._tmp = np.empty((rows, ny), dtype=np.complex128)
         self._rho_low = np.empty((rows, ny))
+        self._real = np.empty((5, rows, ny))
         self._diag = np.empty((5, rows, ny), dtype=np.complex128)
         self._scaled = np.empty((4, rows, ny), dtype=np.complex128)
 
@@ -247,8 +250,7 @@ class SplitStepper:
         """
         self._check_shape(state)
         phi = state.phi
-        # the diagonal's buffer holds each block's |phi| until the series
-        ref = float(np.max([np.abs(phi[:, b], out=self._diag.real).max() for b in self._blocks]))
+        ref = float(np.max([np.abs(phi[:, b], out=self._real).max() for b in self._blocks]))
         if not np.isfinite(ref):
             # NaN never satisfies the convergence test; report the real problem
             raise DivergenceError("non-finite field values", step=self.index)
@@ -259,19 +261,16 @@ class SplitStepper:
 
     def _local_block(self, state, block, scale, tol):
         phi = state.phi[:, block]
-        tmp, rho_low, diag = self._tmp, self._rho_low, self._diag
+        tmp, rho_low, real, diag = self._tmp, self._rho_low, self._real, self._diag
         rho_low.fill(0.0)
         for p in phi[:3]:
             for part in (p.real, p.imag):
-                np.square(part, out=tmp.real)
-                rho_low += tmp.real
-        # the real diagonal, then times -i*dt as a complex number with a
-        # zero imaginary part, like the cast of a real array
-        diag.imag = 0.0
-        np.add(state.traps[:, block], self._eps[:, None, None], out=diag.real)
+                np.square(part, out=real[0])
+                rho_low += real[0]
+        np.add(state.traps[:, block], self._eps[:, None, None], out=real)
         np.multiply(state.u, rho_low, out=rho_low)
-        diag.real[:3] += rho_low
-        diag *= -1j * self.dt
+        real[:3] += rho_low
+        np.multiply(real, -1j * self.dt, out=diag)
         for out, a in zip(self._scaled, self._probes):
             np.multiply(scale, a[block], out=out)
         p1c, p2c, p1, p2 = self._scaled
