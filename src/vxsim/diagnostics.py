@@ -150,15 +150,13 @@ class AnalyticPhase:
     """Phase content of the stationary vortex solution for one flavor.
 
     ``q`` is the flavor charge (+1 or -1), ``l`` the common probe OAM index
-    (probe 1 carries +l, probe 2 carries -l).  The dynamical phase
-    -t*(Veff + U*rho) is assembled from the optional ``veff`` field and the
-    mean-field term, each switchable.
+    (probe 1 carries +l, probe 2 carries -l).  The dynamical phase is
+    -t*(Veff + U*rho), with Veff = 0 unless ``veff`` is given.
     """
 
     q: int
     l: int
     u: float = 0.0
-    include_urho: bool = True
     veff: np.ndarray | None = None
 
     def __post_init__(self):
@@ -191,11 +189,9 @@ def analytic_state(
     amp = np.abs(xi1) if phase.q == 1 else np.abs(xi2)
     rho = np.asarray(rho, dtype=float)
     s = phase.q * phase.l * grid.phi_map
-    dyn = np.zeros(grid.shape)
+    dyn = phase.u * rho
     if phase.veff is not None:
         dyn = dyn + np.asarray(phase.veff, dtype=float)
-    if phase.include_urho:
-        dyn = dyn + phase.u * rho
     s = s - t * dyn
     return Field(grid=grid, values=-amp * np.sqrt(rho) * np.exp(1j * s))
 
@@ -213,18 +209,6 @@ class CompareReport:
     @property
     def windings_agree(self) -> bool:
         return self.windings_a == self.windings_b
-
-    def lines(self, prefix: str = "compare") -> list[str]:
-        out = [
-            f"{prefix}.l2_error = {self.l2_error!r}",
-            f"{prefix}.max_phase_diff = {self.max_phase_diff!r}",
-            f"{prefix}.global_phase = {self.global_phase!r}",
-        ]
-        for k, (wa, wb) in enumerate(zip(self.windings_a, self.windings_b)):
-            out.append(f"{prefix}.winding_a[{k}] = {wa}")
-            out.append(f"{prefix}.winding_b[{k}] = {wb}")
-        out.append(f"{prefix}.windings_agree = {str(self.windings_agree).lower()}")
-        return out
 
 
 def compare_states(

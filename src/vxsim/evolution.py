@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .beams import BeamSet
+from .beams import BeamSet, xi_ratios
 from .errors import AdiabaticityWarning, DivergenceError
 from .grid import SpectralGrid, laplacian
 
@@ -80,7 +80,8 @@ class MatterState:
         )
 
     def densities(self) -> np.ndarray:
-        return np.abs(self.phi) ** 2
+        d = np.abs(self.phi)
+        return np.multiply(d, d, out=d)
 
     def norm(self) -> float:
         return float(np.sqrt(self.grid.integrate(np.sum(self.densities(), axis=0))))
@@ -367,8 +368,6 @@ def dark_state_error(state: MatterState, beams: BeamSet, scale: float = 1.0) -> 
     The second meta-stable component is checked implicitly through the
     excited populations; this metric tracks the loaded vortex flavor.
     """
-    from .beams import xi_ratios
-
     xi1, _ = xi_ratios(beams)
     target = -scale * xi1 * state.phi[0]
     diff = state.phi[1] - target

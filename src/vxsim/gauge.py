@@ -11,19 +11,19 @@ vortex flavors see effective vector potentials
 (the A2, A3 forms are the quotient-rule expansions of the raw expressions
 Xi2^-1 [(1/xi2*) grad(1/xi2) + (xi1*/xi2*) grad(xi1/xi2)] and its 1<->2
 mirror, collected over a common denominator so the only poles left are the
-physical ones at xi2 = 0 resp. xi1 = 0).  In Hermitian mode the imaginary
-part of each expression is taken, which reduces to the phase-gradient forms
-|xi|^2 grad R / Xi with xi_j = |xi_j| exp(i R_j); these are the real vector
-potentials entering the reduced flavor equations.
+physical ones at xi2 = 0 resp. xi1 = 0).  The potentials returned are the
+imaginary parts Im(A_full) of these expressions, which reduce to the
+phase-gradient forms |xi|^2 grad R / Xi with xi_j = |xi_j| exp(i R_j): the
+real vector potentials of the reduced flavor equations.
 
 Conventions fixed by the stationary vortex solutions: for equal ratio
 moduli, opposite probe charges l1 = -l2 = l and no wavevector tilts,
 A1 = 0 and A2 = -A3 = +l grad(phi), so a flavor-2 vortex exp(+il phi) with
 charge q2 = +1 is covariantly constant.
 
-All ratio divisions are evaluated on a mask that excludes a small disc
-around the beam axis and any point where a ratio modulus falls below a
-relative floor; excluded points hold NaN.
+All ratio divisions are evaluated on a mask that excludes a disc of radius
+2*max(dx, dy) around the beam axis and any point where a ratio modulus
+falls below a relative floor; excluded points hold NaN.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamSet
 from .errors import MaskError, TrapSolveError
 from .grid import SpectralGrid, gradient
 
@@ -53,27 +52,27 @@ _XI_FLOOR = 1e-6
 def _vector_gradient(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     # Transform real and imaginary parts separately: conjugate-pair ratios
     # (xi2 = conj(xi1), the degenerate configuration) then pick up exactly
-    # conjugate roundoff, so the Hermitian-mode cancellations A1 = 0 and
-    # A2 + A3 = 0 survive at the floor of the evaluation mask, where a single
-    # complex transform would leave noise amplified by 1/|xi|.
+    # conjugate roundoff, so the cancellations A1 = 0 and A2 + A3 = 0
+    # survive at the floor of the evaluation mask, where a single complex
+    # transform would leave noise amplified by 1/|xi|.
     rx, ry = gradient(values.real, grid)
     ix, iy = gradient(values.imag, grid)
     return np.stack([rx + 1j * ix, ry + 1j * iy])
 
 
 def _abs2(vec: np.ndarray) -> np.ndarray:
-    """Pointwise |A|^2 of a 2-vector field, real for both real and complex A."""
-    return np.abs(vec[0]) ** 2 + np.abs(vec[1]) ** 2
+    """Pointwise |A|^2 of a real 2-vector field."""
+    return vec[0] ** 2 + vec[1] ** 2
 
 
 @dataclass(frozen=True)
 class EffectiveGauge:
     """Gauge data of the dark-state reduction on one grid.
 
-    Vector fields have shape (2, nx, ny): real in Hermitian mode, complex
-    otherwise.  ``big_xi1/2/3`` are the normalization factors Xi_alpha
-    (all >= 1 on the mask).  Points outside ``mask`` hold NaN in the vector
-    and Xi2/Xi3 fields.  Iterating yields (a1, a2, a3).
+    Vector fields are the real potentials Im(A_full), shape (2, nx, ny).
+    ``big_xi1/2/3`` are the normalization factors Xi_alpha (all >= 1 on the
+    mask).  Points outside ``mask`` hold NaN in the vector and Xi2/Xi3
+    fields.  Iterating yields (a1, a2, a3).
     """
 
     grid: SpectralGrid
@@ -86,7 +85,6 @@ class EffectiveGauge:
     big_xi2: np.ndarray
     big_xi3: np.ndarray
     mask: np.ndarray
-    hermitian_mode: bool
 
     def __iter__(self):
         return iter((self.a1, self.a2, self.a3))
@@ -96,27 +94,23 @@ def gauge_potentials(
     xi1: np.ndarray,
     xi2: np.ndarray,
     grid: SpectralGrid,
-    hermitian_mode: bool = True,
-    r_core: float | None = None,
 ) -> EffectiveGauge:
     """Effective vector potentials A1, A2, A3 from the two beam ratios.
 
     Gradients are spectral.  The evaluation mask drops a disc of radius
-    ``r_core`` (default ``2*max(dx, dy)``) around the axis plus every point
-    where ``|xi_j|`` is below 1e-6 of its own peak; masked points
-    are NaN.  Raises :class:`~vxsim.errors.MaskError` if nothing survives.
+    ``2*max(dx, dy)`` around the axis plus every point where ``|xi_j|`` is
+    below 1e-6 of its own peak; masked points are NaN.  Raises
+    :class:`~vxsim.errors.MaskError` if nothing survives.
     """
     xi1 = np.asarray(xi1, dtype=np.complex128)
     xi2 = np.asarray(xi2, dtype=np.complex128)
     if xi1.shape != grid.shape or xi2.shape != grid.shape:
         raise ValueError("xi fields must match the grid shape")
-    if r_core is None:
-        r_core = 2.0 * max(grid.dx, grid.dy)
 
     m1 = np.abs(xi1)
     m2 = np.abs(xi2)
     mask = (
-        (grid.r_map > r_core)
+        (grid.r_map > 2.0 * max(grid.dx, grid.dy))
         & (m1 > _XI_FLOOR * float(m1.max()))
         & (m2 > _XI_FLOOR * float(m2.max()))
     )
@@ -137,16 +131,13 @@ def gauge_potentials(
         big2 = big1 / s2
         big3 = big1 / s1
 
-    if hermitian_mode:
-        a1 = np.ascontiguousarray(a1.imag)
-        a2 = np.ascontiguousarray(a2.imag)
-        a3 = np.ascontiguousarray(a3.imag)
+    a1 = np.ascontiguousarray(a1.imag)
+    a2 = np.ascontiguousarray(a2.imag)
+    a3 = np.ascontiguousarray(a3.imag)
 
     bad = ~mask
-    # complex arrays need NaN in both parts, else .imag stays 0 off-mask
-    fill = np.nan if hermitian_mode else complex(np.nan, np.nan)
     for arr in (a1, a2, a3):
-        arr[:, bad] = fill
+        arr[:, bad] = np.nan
     big2 = big2.copy()
     big3 = big3.copy()
     big2[bad] = np.nan
@@ -163,18 +154,16 @@ def gauge_potentials(
         big_xi2=big2,
         big_xi3=big3,
         mask=mask,
-        hermitian_mode=hermitian_mode,
     )
 
 
 def effective_potentials(
-    beams: BeamSet | None,
     v1: np.ndarray,
     v2: np.ndarray,
     v3: np.ndarray,
     gauge: EffectiveGauge,
-    eps21: float | None = None,
-    eps31: float | None = None,
+    eps21: float = 0.0,
+    eps31: float = 0.0,
 ):
     """Effective flavor potentials (Veff1, Veff2, Veff3), NaN off the mask.
 
@@ -183,19 +172,9 @@ def effective_potentials(
                         + |A2|^2/(2 Xi2)]
         Veff3 = the 1 <-> 2, 2 <-> 3 mirror of Veff2.
 
-    The level shifts default to the beam detunings by subscript antisymmetry
-    (eps21 = -beams.eps12, eps31 = -beams.eps13); pass them explicitly to
-    override, in which case ``beams`` may be None.
+    The level shifts follow the beam detunings by subscript antisymmetry:
+    pass eps21 = -beams.eps12 and eps31 = -beams.eps13.
     """
-    if eps21 is None:
-        if beams is None:
-            raise ValueError("need beams or explicit eps21")
-        eps21 = -beams.eps12
-    if eps31 is None:
-        if beams is None:
-            raise ValueError("need beams or explicit eps31")
-        eps31 = -beams.eps13
-
     s1 = np.abs(gauge.xi1) ** 2
     s2 = np.abs(gauge.xi2) ** 2
     big1, big2, big3 = gauge.big_xi1, gauge.big_xi2, gauge.big_xi3

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,7 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
         v1 = qp_cancel_potential(grid, rho)
         scenario.traps[0] = v1
         xi = xi_ratios(beams)
-        gauge = gauge_potentials(*xi, grid, hermitian_mode=True)
+        gauge = gauge_potentials(*xi, grid)
         sol = solve_traps(v1, gauge, eps21=-cfg.eps12, eps31=-cfg.eps13, rtol=np.inf)
         scenario.traps[1] = sol.v2
         scenario.traps[2] = sol.v3
@@ -295,7 +295,7 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
     def snapshot(i, p2, p3):
         # runs on the snapshot steps and the last step
         rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
-                     *([float("nan")] * 5), _flavor_norm(grid, p2), _flavor_norm(grid, p3)))
+                     *([float("nan")] * 5), Field(grid, p2).norm(), Field(grid, p3).norm()))
         if i + 1 in snaps:
             out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
             out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
@@ -317,10 +317,6 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
         work=work,
     )
     return phi2, phi3, work
-
-
-def _flavor_norm(grid: SpectralGrid, phi) -> float:
-    return float(np.sqrt(grid.integrate(np.abs(phi) ** 2)))
 
 
 def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
@@ -376,8 +372,8 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
                 cfg, scenario, out, rows, phi2_0, phi3_0, hold_steps, t0
             )
         for alpha, phi, phi_0 in ((2, phi2, phi2_0), (3, phi3, phi3_0)):
-            n_0 = _flavor_norm(grid, phi_0)
-            drift = abs(_flavor_norm(grid, phi) - n_0) / n_0
+            n_0 = Field(grid, phi_0).norm()
+            drift = abs(Field(grid, phi).norm() - n_0) / n_0
             values[f"effective.norm_drift{alpha}"] = drift
             gates.append((drift, hold_steps))
         values["effective.krylov_steps"] = work.krylov_steps
@@ -411,17 +407,7 @@ def _run_outcouple(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
     for name in ("p1", "p2"):
         if getattr(cfg, name).peak == 0.0:
             raise ConfigError(f"beam.{name}.peak = 0 leaves no probe light to out-couple")
-    oc = cfg.outcouple
-    params = OutcouplingParams(
-        g1=oc.g1,
-        g2=oc.g2,
-        omega0_1=oc.omega0_1,
-        omega0_2=oc.omega0_2,
-        n=oc.n,
-        v0=oc.v0,
-        c=oc.c,
-        length=oc.length,
-    )
+    params = OutcouplingParams(**asdict(cfg.outcouple))
     values = {"mode": "outcouple"}
 
     for pair in (1, 2):

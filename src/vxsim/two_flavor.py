@@ -1,7 +1,7 @@
 """Reduced two-flavor dynamics in the dark-state gauge background.
 
 Each flavor obeys, with its charge q (+1 for flavor 2, -1 for flavor 3)
-folding the common Hermitian gauge field into a_q = q*A,
+folding the common real gauge field into a_q = q*A,
 
     i d/dt phi = 1/2 (i grad + a_q)^2 phi + Veff phi + U rho phi
 
@@ -49,6 +49,9 @@ __all__ = ["KrylovWork", "evolve_two_flavor"]
 _BOUND_STEPS = 20
 # Largest relative change of a flavor's norm from its initial value.
 _NORM_TOL = 1e-10
+# Gauge-field magnitude above which the background and the flavor fields
+# must vanish (the core guard).
+_A_MAX = 1e3
 # Observed steps one Chebyshev recurrence serves.  Each holds one whole
 # state as its accumulator until the recurrence ends, so this caps the
 # memory: 25 observed stretches at 64^2 take 720 matvecs one at a time, 396
@@ -80,9 +83,7 @@ def _require_finite(name: str, arr: np.ndarray):
 def _as_real_vector(name: str, a, grid: SpectralGrid) -> np.ndarray:
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        if np.any(a.imag != 0):
-            raise ValueError(f"{name} must be a real (Hermitian-mode) vector field")
-        a = a.real
+        raise ValueError(f"{name} must be a real vector field")
     a = a.astype(float, copy=False)
     if a.shape != (2,) + grid.shape:
         raise ValueError(f"{name} must have shape (2, nx, ny)")
@@ -90,11 +91,11 @@ def _as_real_vector(name: str, a, grid: SpectralGrid) -> np.ndarray:
     return a
 
 
-def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray, a_max: float):
-    """Large-|A| points must be void: both the background and the flavor field
-    below 1e-10 of their peaks there, else the core is unresolved."""
+def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
+    """Points with |A| > ``_A_MAX`` must be void: both the background and the
+    flavor field below 1e-10 of their peaks there, else the core is unresolved."""
     mag = np.sqrt(aq[0] ** 2 + aq[1] ** 2)
-    hot = mag > a_max
+    hot = mag > _A_MAX
     if not hot.any():
         return
     rho_ok = rho[hot] < 1e-10 * float(rho.max())
@@ -103,7 +104,7 @@ def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray, a_max: float):
     if bad.any():
         i, j = np.argwhere(hot)[np.argmax(bad)]
         raise CoreSingularityError(
-            f"|A| = {mag[i, j]:.3e} > {a_max:.1e} at grid point ({i}, {j}) "
+            f"|A| = {mag[i, j]:.3e} > {_A_MAX:.1e} at grid point ({i}, {j}) "
             "where the fields do not vanish; refine the grid or mask the core"
         )
 
@@ -289,14 +290,14 @@ def evolve_two_flavor(
     dt: float,
     n_steps: int,
     grid: SpectralGrid,
-    a_max: float = 1e3,
     callback=None,
     observe=(),
     work: KrylovWork | None = None,
 ):
     """Propagate both flavors for ``n_steps`` of ``dt``; returns new arrays.
 
-    ``a`` is the common gauge field; flavor 2 sees ``+a``, flavor 3 ``-a``.
+    ``a`` is the common real gauge field; flavor 2 sees ``+a``, flavor 3
+    ``-a``; a complex ``a`` raises ``ValueError``.
     ``callback(step_index, phi2, phi3)``, if given, runs after
     ``step_index + 1`` steps for each count in ``observe``, and after the
     last step.  The propagator lands only on those steps: one Chebyshev
@@ -306,7 +307,7 @@ def evolve_two_flavor(
     ``1..n_steps`` raises ``ValueError``.  Pass a :class:`KrylovWork` as
     ``work`` to have the solver work added to it.
 
-    Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > a_max``
+    Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > _A_MAX``
     anywhere the background or flavor fields are non-negligible, and
     :class:`~vxsim.errors.DivergenceError` if the evolution produces
     non-finite values or an observed state's flavor norm has moved by more
@@ -323,8 +324,8 @@ def evolve_two_flavor(
         _require_finite(name, np.asarray(arr))
 
     a = _as_real_vector("a", a, grid)
-    _core_guard(a, rho, phi2, a_max)
-    _core_guard(a, rho, phi3, a_max)
+    _core_guard(a, rho, phi2)
+    _core_guard(a, rho, phi3)
 
     mf = u * rho
     local = np.stack([np.asarray(veff2, dtype=float) + mf, np.asarray(veff3, dtype=float) + mf])

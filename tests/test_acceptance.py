@@ -100,7 +100,7 @@ def test_gauge_degeneracy_fine_grid():
     for l in (1, 2):
         beams = lg_beams(grid, l, -l, 0.8, 2.0, 12.0, 6.0)
         xi1, xi2 = xi_ratios(beams)
-        gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
+        gauge = gauge_potentials(xi1, xi2, grid)
         scale = np.nanmax(np.abs(gauge.a2))
         r1 = np.nanmax(np.abs(gauge.a1)) / scale
         r23 = np.nanmax(np.abs(gauge.a2 + gauge.a3)) / scale
@@ -142,7 +142,7 @@ def _strang_factor():
     rho = thomas_fermi_density(grid, 1.0, 5.0, 0.05)
     v1 = qp_cancel_potential(grid, rho)
     xi1, xi2 = xi_ratios(beams)
-    gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
+    gauge = gauge_potentials(xi1, xi2, grid)
     sol = solve_traps(v1, gauge, eps21=0.0, eps31=0.0, rtol=np.inf)
     traps = np.zeros((5,) + grid.shape)
     traps[0], traps[1], traps[2] = v1, sol.v2, sol.v3
@@ -234,11 +234,10 @@ def test_effective_potential_algebra():
         c1=ones, c2=ones, l1=0, l2=0,
     )
     xi1, xi2 = xi_ratios(beams)
-    gauge = gauge_potentials(xi1, xi2, grid, hermitian_mode=True)
+    gauge = gauge_potentials(xi1, xi2, grid)
     v1 = np.zeros(grid.shape)
     sol = solve_traps(v1, gauge, eps21=-0.4, eps31=0.4)
-    _, ve2, ve3 = effective_potentials(None, v1, sol.v2, sol.v3, gauge,
-                                       eps21=-0.4, eps31=0.4)
+    _, ve2, ve3 = effective_potentials(v1, sol.v2, sol.v3, gauge, eps21=-0.4, eps31=0.4)
     for name, arr in (("veff2", ve2), ("veff3", ve3)):
         peak = float(np.nanmax(np.abs(arr)))
         _check(failures, peak <= 1e-12, f"{name} residual {peak:.3e}")
@@ -248,8 +247,8 @@ def test_effective_potential_algebra():
     flat = BeamSet(grid=grid, p1=0.05 * ones, p2=0.08 * ones,
                    c1=ones, c2=ones, l1=0, l2=0)
     y1, y2 = xi_ratios(flat)
-    g2 = gauge_potentials(y1, y2, grid, hermitian_mode=True)
-    w1, _, _ = effective_potentials(None, v0, v0, v0, g2, eps21=0.0, eps31=0.0)
+    g2 = gauge_potentials(y1, y2, grid)
+    w1, _, _ = effective_potentials(v0, v0, v0, g2)
     dev = float(np.nanmax(np.abs(w1 - v0)))
     _check(failures, dev <= 1e-14, f"V1eff deviates from V0 by {dev:.3e}")
     _verdict("criterion 7 effective-potential algebra", failures)

@@ -118,18 +118,10 @@ def test_gauge_flux_quantized(weak_beams64, grid64):
     assert flux == pytest.approx(2.0 * np.pi, rel=1e-3)
 
 
-def test_non_hermitian_mode_keeps_complex(grid128, synthetic_ring_ratios):
-    _, _, xi1, xi2 = synthetic_ring_ratios
-    g = gauge_potentials(xi1, xi2, grid128, hermitian_mode=False)
-    gh = gauge_potentials(xi1, xi2, grid128)
-    assert np.iscomplexobj(g.a2) and not np.iscomplexobj(gh.a2)
-    assert not g.hermitian_mode and gh.hermitian_mode
-    np.testing.assert_array_equal(g.a2.imag, gh.a2)
-
-
 def test_mask_geometry_and_xi_floor(grid128, synthetic_ring_ratios):
     _, _, xi1, xi2 = synthetic_ring_ratios
     g = gauge_potentials(xi1, xi2, grid128)
+    assert not any(np.iscomplexobj(a) for a in g)
     assert not g.mask[grid128.r_map <= 2.0 * grid128.dx].any()
     assert np.isnan(g.a2[:, ~g.mask]).all()
     assert np.isfinite(g.a2[:, g.mask]).all()
@@ -144,7 +136,7 @@ def test_mask_geometry_and_xi_floor(grid128, synthetic_ring_ratios):
 def test_mask_error_when_nothing_survives(grid128, synthetic_ring_ratios):
     _, _, xi1, xi2 = synthetic_ring_ratios
     with pytest.raises(MaskError, match="no evaluable points"):
-        gauge_potentials(xi1, xi2, grid128, r_core=100.0)
+        gauge_potentials(np.zeros_like(xi1), xi2, grid128)
 
 
 def test_shape_validation(grid128):
@@ -216,7 +208,7 @@ def test_solved_traps_zero_effective_potentials(grid128, consistent_gauge):
     _, _, g = consistent_gauge
     v1 = np.zeros(grid128.shape)
     sol = solve_traps(v1, g, eps21=0.4, eps31=-0.4)
-    _, veff2, veff3 = effective_potentials(None, v1, sol.v2, sol.v3, g, eps21=0.4, eps31=-0.4)
+    _, veff2, veff3 = effective_potentials(v1, sol.v2, sol.v3, g, eps21=0.4, eps31=-0.4)
     scale = np.abs(sol.v2[g.mask]).max()
     assert np.nanmax(np.abs(veff2)) < 1e-12 * scale
     assert np.nanmax(np.abs(veff3)) < 1e-12 * scale
@@ -263,7 +255,7 @@ def test_constant_potential_identity(weak_beams64, grid64):
     xi1, xi2 = xi_ratios(weak_beams64)
     g = gauge_potentials(xi1, xi2, grid64)
     v0 = 0.7 * np.ones(grid64.shape)
-    veff1, _, _ = effective_potentials(weak_beams64, v0, v0, v0, g)
+    veff1, _, _ = effective_potentials(v0, v0, v0, g)
     assert np.nanmax(np.abs(veff1[g.mask] - 0.7)) < 1e-14
 
 
@@ -272,29 +264,15 @@ def test_constant_potential_identity_uniform_ratios(grid64):
     xu2 = 0.25 * np.ones(grid64.shape, dtype=complex)
     g = gauge_potentials(xu1, xu2, grid64)
     v0 = -1.3 * np.ones(grid64.shape)
-    veff1, veff2, veff3 = effective_potentials(None, v0, v0, v0, g, eps21=0.0, eps31=0.0)
+    veff1, veff2, veff3 = effective_potentials(v0, v0, v0, g)
     assert np.nanmax(np.abs(veff1[g.mask] + 1.3)) == 0.0
     assert np.isfinite(veff2[g.mask]).all() and np.isfinite(veff3[g.mask]).all()
-
-
-def test_effective_potentials_defaults_from_beams(weak_beams64, grid64):
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
-    z = np.zeros(grid64.shape)
-    explicit = effective_potentials(
-        None, z, z, z, g, eps21=-weak_beams64.eps12, eps31=-weak_beams64.eps13
-    )
-    defaulted = effective_potentials(weak_beams64, z, z, z, g)
-    for a, b in zip(explicit, defaulted):
-        np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError, match="eps21"):
-        effective_potentials(None, z, z, z, g)
 
 
 def test_effective_potentials_nan_off_mask(weak_beams64, grid64):
     xi1, xi2 = xi_ratios(weak_beams64)
     g = gauge_potentials(xi1, xi2, grid64)
     z = np.zeros(grid64.shape)
-    veff1, veff2, veff3 = effective_potentials(weak_beams64, z, z, z, g)
+    veff1, veff2, veff3 = effective_potentials(z, z, z, g)
     for v in (veff1, veff2, veff3):
         assert np.isnan(v[~g.mask]).all()

@@ -118,15 +118,16 @@ def test_core_guard_raises_on_live_fields(grid32):
         evolve_two_flavor(ones, ones, hot, z, z, np.ones(grid32.shape), 0.0, 0.01, 1, grid32)
 
 
-def test_core_guard_allows_void_core(grid64, vortex_background):
+def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
     # |A| exceeds the bound next to the axis, but both the background and
     # the flavor fields are exactly zero there
+    monkeypatch.setattr(two_flavor, "_A_MAX", 3.9)
     seed, vg, _, rho = vortex_background
     void = grid64.r_map < 0.5
     seed = np.where(void, 0.0, seed)
     rho = np.where(void, 0.0, rho)
     z = np.zeros(grid64.shape)
-    evolve_two_flavor(seed, np.conj(seed), vg, z, z, rho, 0.3, 0.01, 2, grid64, a_max=3.9)
+    evolve_two_flavor(seed, np.conj(seed), vg, z, z, rho, 0.3, 0.01, 2, grid64)
 
 
 def test_nan_inputs_rejected(grid32):
@@ -145,8 +146,10 @@ def test_argument_validation(grid32):
         evolve_two_flavor(psi[:4], psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"\(2, nx, ny\)"):
         evolve_two_flavor(psi, psi, z, z, z, z, 0.0, 0.01, 1, grid32)
-    with pytest.raises(ValueError, match="real"):
-        evolve_two_flavor(psi, psi, zeros2(grid32) + 0.1j, z, z, z, 0.0, 0.01, 1, grid32)
+    # complex gauge fields are rejected even with a zero imaginary part
+    for a in (zeros2(grid32) + 0.1j, zeros2(grid32).astype(complex)):
+        with pytest.raises(ValueError, match="real vector field"):
+            evolve_two_flavor(psi, psi, a, z, z, z, 0.0, 0.01, 1, grid32)
     for observe in ({0}, {2}):
         with pytest.raises(ValueError, match="outside 1..1"):
             evolve_two_flavor(psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32,
