@@ -7,6 +7,8 @@ The default of one worker keeps output bit-identical across hosts.
 
 import scipy.fft as _sfft
 
+__all__ = ["set_workers", "get_workers", "fft2", "ifft2"]
+
 _workers = 1
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "thomas_fermi_density",
     "qp_cancel_potential",
     "advisory_dt",
+    "dark_state_error",
     "observed_steps",
     "SplitStepper",
     "step",
@@ -300,21 +301,23 @@ class SplitStepper:
 
     def _unconverged(self, state, block, diag, couplings) -> str:
         """Why a block's series did not converge: the largest entry of
-        ``dt*M`` there, a trap-carrying diagonal or a beam coupling, with its
-        levels and grid point."""
+        ``dt*M`` there, a diagonal (its trap, and on levels 1..3 its mean
+        field) or a beam coupling, with its levels and grid point."""
         names = ("probe 1", "probe 2", "control 1", "control 2")
         # the first four couplings are the conjugates of the last four
         entries = [np.abs(d) for d in diag] + [np.abs(c) for _, c, _ in couplings[:4]]
         sizes = [float(e.max()) for e in entries]
         which = int(np.argmax(sizes))
         i, j = np.unravel_index(int(np.argmax(entries[which])), entries[which].shape)
-        i += block.start
         if which < 5:
+            # building diag left u*rho, the mean field of levels 1..3, in _rho_low
+            mean = f", mean field u*rho = {self._rho_low[i, j]:.3e}" if which < 3 else ""
             cause = (f"the level-{which + 1} diagonal "
-                     f"(trap V{which + 1} = {state.traps[which, i, j]:.3e})")
+                     f"(trap V{which + 1} = {state.traps[which, block][i, j]:.3e}{mean})")
         else:
             row, _, col = couplings[which - 5]
             cause = f"the {names[which - 5]} coupling of levels {row + 1} and {col + 1}"
+        i += block.start
         advisory = advisory_dt(state.grid)
         verdict = "exceeds" if self.dt > advisory else "is within"
         return (f"local propagator series did not converge in {_SERIES_MAX_TERMS} terms: "

@@ -51,7 +51,7 @@ from .gauge import (
     EffectiveGauge,
     fill_masked,
     gauge_potentials,
-    solve_traps,
+    solve_traps,  # unused; bench/spans.py rebinds vxsim.runner.solve_traps to trace it
     vortex_gauge_field,
 )
 from .grid import Field, SpectralGrid, make_grid
@@ -104,7 +104,6 @@ class _Scenario:
     beams: BeamSet
     rho: np.ndarray
     traps: np.ndarray
-    trap_residual: float
     # dark-state ratios and their gauge data, kept for the reduced branch
     xi: tuple[np.ndarray, np.ndarray] | None = None
     gauge: EffectiveGauge | None = None
@@ -141,20 +140,14 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
-    scenario = _Scenario(grid=grid, beams=beams, rho=rho, traps=np.zeros((5,) + grid.shape),
-                         trap_residual=0.0)
+    scenario = _Scenario(grid=grid, beams=beams, rho=rho, traps=np.zeros((5,) + grid.shape))
     if cfg.physics.traps == "engineered":
-        v1 = qp_cancel_potential(grid, rho)
-        scenario.traps[0] = v1
-        xi = xi_ratios(beams)
-        gauge = gauge_potentials(*xi, grid)
-        sol = solve_traps(v1, gauge, eps21=-cfg.eps12, eps31=-cfg.eps13, rtol=np.inf)
-        scenario.traps[1] = sol.v2
-        scenario.traps[2] = sol.v3
-        scenario.trap_residual = sol.max_residual
-        # only the reduced branch reads them again; a full run need not hold them
-        if cfg.run.mode != "full":
-            scenario.xi, scenario.gauge = xi, gauge
+        # V1 holds the background; the slaved levels need no trap of their own
+        scenario.traps[0] = qp_cancel_potential(grid, rho)
+    # the reduced branch's seed and gauge exports; reduced modes are engineered
+    if cfg.run.mode != "full":
+        scenario.xi = xi_ratios(beams)
+        scenario.gauge = gauge_potentials(*scenario.xi, grid)
     return scenario
 
 
@@ -271,13 +264,13 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
 
 def _winding_values(values: dict, prefix: str, cfg: SimConfig, grid: SpectralGrid,
                     phi2, phi3, loop: LoopSpec):
-    for alpha, phi, sign in ((2, phi2, 1), (3, phi3, -1)):
+    for alpha, phi, probe in ((2, phi2, cfg.p1), (3, phi3, cfg.p2)):
         fld = Field(grid=grid, values=phi)
         w = winding(fld, loop)
         values[f"{prefix}.winding{alpha}"] = w.value
         values[f"{prefix}.winding{alpha}_residual"] = w.residual
         values[f"{prefix}.circulation{alpha}"] = circulation(fld, loop)
-        values[f"{prefix}.expected_winding{alpha}"] = sign * cfg.p1.l
+        values[f"{prefix}.expected_winding{alpha}"] = probe.l
 
 
 def _drift_ok(drift: float, n_steps: int) -> bool:
@@ -339,7 +332,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
 
     loop = _default_loop(cfg)
     rows: list = []
-    values = {"mode": mode, "trap_residual": scenario.trap_residual}
+    values = {"mode": mode}
     gates = []  # (relative norm drift, steps it built up over)
 
     if mode != "effective":

@@ -149,15 +149,58 @@ def test_reduced_branch_calls_through_traced_module_names(tmp_path, monkeypatch)
 
 
 def test_series_divergence_names_its_entry_not_dt(tmp_path):
-    # a strong probe on this coarse grid gets engineered traps near 1e10,
-    # while dt = 0.004 is far below the advisory bound
-    rep = run_text(tmp_path, "beam.p1.peak = 2.0\nrun.mode = full\nrun.n_steps = 4\n")
+    # a strong interaction puts dt*u*rho = 20 on the lower diagonals, while
+    # dt = 0.004 is far below the advisory bound
+    rep = run_text(tmp_path, "physics.u = 5000\nrun.mode = full\nrun.n_steps = 4\n")
     assert rep.exit_code == 3
     error = rep.values["error"]
     assert re.search(r"dt\*max\|M\| = \S+, set by the level-\d diagonal \(trap V\d = ", error)
+    assert "mean field" in error
     assert "grid point" in error
     assert "is within the advisory bound" in error
     assert "far above" not in error and "exceeds" not in error
+
+
+NONDEGENERATE = """
+grid.nx = 64
+grid.ny = 64
+beam.c1.peak = 12.0
+beam.c2.peak = 12.0
+physics.u = 0.02
+run.mode = full
+run.dt = 0.016
+run.n_steps = 375
+run.ramp_time = 6.0
+"""
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("a full run needs no trap solve or gauge data")
+
+
+@pytest.mark.parametrize("probes, l, stubbed", [
+    pytest.param((0.8, 0.6), (1, -1), True, id="0.8/0.6"),
+    pytest.param((1.0, 0.5), (1, -1), False, id="1.0/0.5"),
+    pytest.param((0.8, 0.8), (1, 2), False, id="l=1,2"),
+])
+def test_non_degenerate_full_runs_load(tmp_path, monkeypatch, probes, l, stubbed):
+    # engineered traps are V1 alone, so an unequal or non-opposite probe pair
+    # loads both flavors with the windings its probes carry
+    if stubbed:
+        for name in ("xi_ratios", "gauge_potentials", "solve_traps"):
+            monkeypatch.setattr(runner, name, _raise_if_called)
+    text = NONDEGENERATE + "".join(
+        f"beam.{name}.peak = {peak}\nbeam.{name}.l = {charge}\n"
+        for name, peak, charge in zip(("p1", "p2"), probes, l)
+    )
+    rep = run(parse_config(text), out_dir=tmp_path / "out")
+    assert rep.exit_code == 0, rep.values.get("error")
+    values = rep.values
+    assert (values["full.winding2"], values["full.winding3"]) == l
+    assert (values["full.expected_winding2"], values["full.expected_winding3"]) == l
+    assert values["full.dark_state_error"] < 1e-2
+    assert values["full.p4"] + values["full.p5"] < 1e-4
+    assert "trap_residual" not in values
 
 
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
