@@ -9,7 +9,7 @@ stay empty.
 
 import numpy as np
 
-from vxsim.beams import lg_beams, xi_ratios
+from vxsim.beams import lg_beams
 from vxsim.evolution import (
     Ramp,
     dark_state_error,
@@ -18,21 +18,16 @@ from vxsim.evolution import (
     run_adiabatic_loading,
     thomas_fermi_density,
 )
-from vxsim.gauge import gauge_potentials, solve_traps
 from vxsim.grid import make_grid
 
 grid = make_grid(64, 64, 16.0, 16.0)
 beams = lg_beams(grid, 1, -1, 0.8, 2.0, 12.0, 6.0)
 rho = thomas_fermi_density(grid, 1.0, 5.0)
 
-# engineered traps: cancel the background quantum pressure, then solve for
-# the level-2/3 traps that zero the effective flavor potentials
-v1 = qp_cancel_potential(grid, rho)
-xi1, xi2 = xi_ratios(beams)
-gauge = gauge_potentials(xi1, xi2, grid)
-sol = solve_traps(v1, gauge, eps21=0.0, eps31=0.0, rtol=np.inf)
+# engineered traps, as runs build them: V1 cancels the background quantum
+# pressure, and the slaved levels need no trap of their own
 traps = np.zeros((5,) + grid.shape)
-traps[0], traps[1], traps[2] = v1, sol.v2, sol.v3
+traps[0] = qp_cancel_potential(grid, rho)
 
 state = initial_state(grid, rho, traps, u=0.02)
 ramp = Ramp(5.0)

@@ -23,11 +23,14 @@ def get_workers() -> int:
     return _workers
 
 
-def fft2(a, overwrite_x=False):
-    """2-D transform over the last two axes; ``overwrite_x=True`` lets scipy
-    write the result into ``a`` (complex input), with the same values."""
-    return _sfft.fft2(a, overwrite_x=overwrite_x, workers=_workers)
+def fft2(a, overwrite_x=False, axes=(-2, -1)):
+    """Transform over ``axes``, by default the last two; a one-axis tuple
+    such as ``(-2,)`` gives the 1-D transform of every line along that axis.
+    ``overwrite_x=True`` lets scipy write the result into ``a`` (complex
+    input), with the same values; use the array it returns."""
+    return _sfft.fft2(a, axes=axes, overwrite_x=overwrite_x, workers=_workers)
 
 
-def ifft2(a, overwrite_x=False):
-    return _sfft.ifft2(a, overwrite_x=overwrite_x, workers=_workers)
+def ifft2(a, overwrite_x=False, axes=(-2, -1)):
+    """Inverse of :func:`fft2` over the same ``axes``."""
+    return _sfft.ifft2(a, axes=axes, overwrite_x=overwrite_x, workers=_workers)

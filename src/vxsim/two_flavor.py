@@ -12,7 +12,17 @@ expanded for spectral application as
 
 with the first-derivative and divergence pieces applied together as the
 symmetrized product i/2 (a_q . D + D . a_q), which is Hermitian on the
-grid exactly (not just in the continuum).
+grid exactly (not just in the continuum).  Every term but the local one
+acts along one axis j at a time, so an application takes 1-D transforms
+F_j only:
+
+    H phi = (Veff + U rho + 1/2 |a_q|^2) phi + sum_j (b0_j + a_qj b1_j),
+    b0_j = F_j^-1 (1/2 k_j^2 F_j phi - 1/2 k_j F_j (a_qj phi)),
+    b1_j = F_j^-1 (-1/2 k_j F_j phi),
+
+with the Nyquist-zeroed k_j in the first-derivative terms: four one-axis
+transform calls per application, a forward and an inverse per axis, each
+on the stacked pair of both flavors.
 
 The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
 field is static), so the propagator only lands where the state is observed:
@@ -119,54 +129,49 @@ class _FlavorOperator:
     pointwise products alias; the naive a.D + (div a)/2 form is not, and the
     expansion would amplify the defect.  In the continuum the two agree.
 
-    A call computes
-    ``ifft2(half_k2 f + 0.5j (ikx fft2(aqx phi) + iky fft2(aqy phi)))
-    + 0.5j (aqx ifft2(ikx f) + aqy ifft2(iky f)) + local phi`` with
-    ``f = fft2(phi)``, in place in the operator's three work arrays and in
-    ``out``, which is scratch until the final sum; given ``out`` (not
-    ``phi`` itself), a call makes no field-sized temporaries.
+    A multiplier of k_j alone commutes with the transform along the other
+    axis, so each axis j is applied with 1-D transforms F_j along it only:
+
+        H phi = local phi + sum_j (b0_j + a_j b1_j),
+        b0_j = F_j^-1 (1/2 k_j^2 F_j phi - 1/2 k_j,grad F_j (a_j phi)),
+        b1_j = F_j^-1 (-1/2 k_j,grad F_j phi),
+
+    with ``local`` holding the potential and 1/2 |a|^2.  Per axis one forward
+    transform serves the stacked pair ``[phi, a_j phi]`` and one inverse the
+    pair ``[b0_j, b1_j]``: four one-axis calls per application.  A call works
+    in place in the operator's three work states and in ``out``; given
+    ``out`` (not ``phi`` itself), it makes no field-sized temporaries.
     """
 
     def __init__(self, grid: SpectralGrid, aq: np.ndarray, local: np.ndarray):
-        self.half_k2 = 0.5 * grid.k2
-        self.ikx = 1j * grid.kx_grad[:, None]
-        self.iky = 1j * grid.ky_grad[None, :]
-        self.aqx = aq[:, 0]
-        self.aqy = aq[:, 1]
-        self.local = local + 0.5 * (self.aqx**2 + self.aqy**2)
+        # per axis: (transform axis, a_j, 1/2 k_j^2, -1/2 k_j,grad), the
+        # wavenumbers shaped to broadcast along that axis
+        self.axes = (
+            (-2, aq[:, 0], 0.5 * grid.kx[:, None] ** 2, -0.5 * grid.kx_grad[:, None]),
+            (-1, aq[:, 1], 0.5 * grid.ky**2, -0.5 * grid.ky_grad),
+        )
+        self.local = local + 0.5 * (aq[:, 0] ** 2 + aq[:, 1] ** 2)
         self._work = np.empty((3,) + local.shape, dtype=np.complex128)
 
     def __call__(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``H phi`` into ``out`` (a new array if None); ``phi`` is not written."""
         if out is None:
             out = np.empty(phi.shape, dtype=np.complex128)
-        f, g, h = self._work
-        np.copyto(f, phi)
-        f = fft2(f, overwrite_x=True)
-        # g <- aqx ifft2(ikx f) + aqy ifft2(iky f), the a.grad piece
-        np.multiply(self.ikx, f, out=g)
-        g = ifft2(g, overwrite_x=True)
-        np.multiply(self.aqx, g, out=g)
-        np.multiply(self.iky, f, out=h)
-        h = ifft2(h, overwrite_x=True)
-        np.multiply(self.aqy, h, out=h)
-        g += h
-        # the kinetic and divergence pieces share one inverse transform
-        np.multiply(self.aqx, phi, out=h)
-        h = fft2(h, overwrite_x=True)
-        np.multiply(self.ikx, h, out=h)
-        np.multiply(self.aqy, phi, out=out)
-        w = fft2(out, overwrite_x=True)
-        np.multiply(self.iky, w, out=w)
-        h += w
-        np.multiply(0.5j, h, out=h)
-        np.multiply(self.half_k2, f, out=f)
-        f += h
-        f = ifft2(f, overwrite_x=True)
-        np.multiply(0.5j, g, out=g)
-        np.multiply(self.local, phi, out=h)
-        np.add(f, g, out=out)
-        out += h
+        w = self._work
+        np.multiply(self.local, phi, out=out)
+        for axis, a, half_k2, minus_half_k in self.axes:
+            np.copyto(w[0], phi)
+            np.multiply(a, phi, out=w[1])
+            f = fft2(w[:2], overwrite_x=True, axes=(axis,))
+            # f <- [1/2 k^2 f0 - 1/2 k f1, -1/2 k f0]; w[2] holds -1/2 k f1
+            np.multiply(minus_half_k, f[1], out=w[2])
+            np.multiply(minus_half_k, f[0], out=f[1])
+            np.multiply(half_k2, f[0], out=f[0])
+            f[0] += w[2]
+            b = ifft2(f, overwrite_x=True, axes=(axis,))
+            np.multiply(a, b[1], out=b[1])
+            out += b[0]
+            out += b[1]
         return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vxsim._fft import fft2, ifft2
 from vxsim.errors import GridSizeError
 from vxsim.grid import Field, gradient, laplacian, make_grid
 
@@ -76,3 +77,12 @@ def test_field_binds_shape(grid16):
     f = Field(grid=grid16, values=np.ones(grid16.shape))
     assert f.norm_sq() == pytest.approx((2.0 * np.pi) ** 2)
     assert f.norm() == pytest.approx(2.0 * np.pi)
+
+
+def test_one_axis_transforms_match_numpy():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 16, 8)) + 1j * rng.standard_normal((2, 16, 8))
+    for axis in (-2, -1):
+        fwd, inv = np.fft.fft(a, axis=axis), np.fft.ifft(a, axis=axis)
+        assert np.abs(fft2(a, axes=(axis,)) - fwd).max() <= 1e-13 * np.abs(fwd).max()
+        assert np.abs(ifft2(a, axes=(axis,)) - inv).max() <= 1e-13 * np.abs(inv).max()

@@ -132,12 +132,16 @@ def test_loading_calls_through_traced_module_names(tmp_path, monkeypatch):
 
 def test_reduced_branch_calls_through_traced_module_names(tmp_path, monkeypatch):
     # bench/spans.py counts two-flavor work by rebinding these names: one
-    # bound estimate per evolve call, and six transforms per matvec
+    # bound estimate per evolve call, and per matvec four one-axis
+    # transforms, a forward and an inverse along each axis
     calls = Counter()
+    axes = set()
     for module, name in ((runner, "evolve_two_flavor"), (two_flavor, "eigh_tridiagonal"),
                          (two_flavor, "fft2"), (two_flavor, "ifft2")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            if "fft2" in _name:
+                axes.add(tuple(kwargs["axes"]))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -145,7 +149,8 @@ def test_reduced_branch_calls_through_traced_module_names(tmp_path, monkeypatch)
     assert rep.exit_code == 0
     matvecs = rep.values["effective.matvecs"]
     assert calls["evolve_two_flavor"] == calls["eigh_tridiagonal"] == 1
-    assert calls["fft2"] == calls["ifft2"] == 3 * matvecs
+    assert calls["fft2"] == calls["ifft2"] == 2 * matvecs
+    assert axes == {(-2,), (-1,)}
 
 
 def test_series_divergence_names_its_entry_not_dt(tmp_path):

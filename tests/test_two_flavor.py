@@ -340,28 +340,36 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
     assert hi == pytest.approx(ref_hi, rel=1e-12)
 
 
+def _vortex_operator(grid, l, phase):
+    """Operator, stacked state and gauge field of a charge-``l`` vortex hold
+    over a non-uniform local potential."""
+    r = grid.r_map
+    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * phase * grid.phi_map)
+    vg = vortex_gauge_field(grid, l)
+    local = np.stack([0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0)] * 2)
+    aq = np.stack([vg, -vg])
+    return two_flavor._FlavorOperator(grid, aq, local), np.stack([seed, np.conj(seed)]), aq
+
+
 def test_operator_writes_out_and_allocates_nothing(grid128):
     # within one call numpy's ufunc iterator buffers up to 8192 elements of a
     # broadcast or cast operand: a whole stacked state at 64^2, a quarter of
     # one at 128^2, where the allocating form raised the peak by 6.3 states
-    r = grid128.r_map
-    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * grid128.phi_map)
-    vg = vortex_gauge_field(grid128, 1)
-    local = np.stack([0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0)] * 2)
-    op = two_flavor._FlavorOperator(grid128, np.stack([vg, -vg]), local)
-    phi = np.stack([seed, np.conj(seed)])
+    op, phi, _ = _vortex_operator(grid128, 1, 1)
     before = phi.copy()
     out = np.empty_like(phi)
     assert op(phi, out) is out
     assert np.array_equal(phi, before)
-    # the allocating form of the same products and sums, in the same order,
-    # gives the same values
-    f = fft2(phi)
-    a_dot_grad = op.aqx * ifft2(op.ikx * f) + op.aqy * ifft2(op.iky * f)
-    kinetic_and_div = ifft2(
-        op.half_k2 * f + 0.5j * (op.ikx * fft2(op.aqx * phi) + op.iky * fft2(op.aqy * phi))
-    )
-    assert np.array_equal(out, kinetic_and_div + 0.5j * a_dot_grad + op.local * phi)
+    # the allocating per-axis form of the same products and sums, in the
+    # same order, gives the same values
+    expected = op.local * phi
+    for axis, a, half_k2, minus_half_k in op.axes:
+        f0 = fft2(phi, axes=(axis,))
+        f1 = fft2(a * phi, axes=(axis,))
+        b0 = ifft2(half_k2 * f0 + minus_half_k * f1, axes=(axis,))
+        b1 = ifft2(minus_half_k * f0, axes=(axis,))
+        expected = expected + b0 + a * b1
+    assert np.array_equal(out, expected)
     assert np.array_equal(op(phi), out)
 
     tracemalloc.start()
@@ -373,6 +381,30 @@ def test_operator_writes_out_and_allocates_nothing(grid128):
     finally:
         tracemalloc.stop()
     assert peak - start < phi.nbytes
+
+
+def test_operator_matches_two_dimensional_form(grid64):
+    # the former application: 2-D transforms with the symmetrized cross term
+    # i/2 (a.D + D.a), D = ifft2(ik fft2(.)), and the kinetic and divergence
+    # pieces under one inverse transform
+    op, phi, aq = _vortex_operator(grid64, 2, 2)
+    ax, ay = aq[:, 0], aq[:, 1]
+    ikx = 1j * grid64.kx_grad[:, None]
+    iky = 1j * grid64.ky_grad[None, :]
+    f = fft2(phi)
+    a_dot_grad = ax * ifft2(ikx * f) + ay * ifft2(iky * f)
+    kinetic_and_div = ifft2(0.5 * grid64.k2 * f + 0.5j * (ikx * fft2(ax * phi) + iky * fft2(ay * phi)))
+    expected = kinetic_and_div + 0.5j * a_dot_grad + op.local * phi
+    assert np.abs(op(phi) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_operator_is_hermitian_on_the_grid(grid64):
+    op, phi, _ = _vortex_operator(grid64, 2, 2)
+    rng = np.random.default_rng(11)
+    u, v = (rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
+            for _ in range(2))
+    u_hv = np.vdot(u, op(v))
+    assert abs(u_hv - np.vdot(op(u), v)) <= 1e-13 * abs(u_hv)
 
 
 def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_background):
