@@ -340,11 +340,11 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
     assert hi == pytest.approx(ref_hi, rel=1e-12)
 
 
-def _vortex_operator(grid, l, phase):
+def _vortex_operator(grid, l):
     """Operator, stacked state and gauge field of a charge-``l`` vortex hold
     over a non-uniform local potential."""
     r = grid.r_map
-    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * phase * grid.phi_map)
+    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * l * grid.phi_map)
     vg = vortex_gauge_field(grid, l)
     local = np.stack([0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0)] * 2)
     aq = np.stack([vg, -vg])
@@ -355,7 +355,7 @@ def test_operator_writes_out_and_allocates_nothing(grid128):
     # within one call numpy's ufunc iterator buffers up to 8192 elements of a
     # broadcast or cast operand: a whole stacked state at 64^2, a quarter of
     # one at 128^2, where the allocating form raised the peak by 6.3 states
-    op, phi, _ = _vortex_operator(grid128, 1, 1)
+    op, phi, _ = _vortex_operator(grid128, 1)
     before = phi.copy()
     out = np.empty_like(phi)
     assert op(phi, out) is out
@@ -387,7 +387,7 @@ def test_operator_matches_two_dimensional_form(grid64):
     # the former application: 2-D transforms with the symmetrized cross term
     # i/2 (a.D + D.a), D = ifft2(ik fft2(.)), and the kinetic and divergence
     # pieces under one inverse transform
-    op, phi, aq = _vortex_operator(grid64, 2, 2)
+    op, phi, aq = _vortex_operator(grid64, 2)
     ax, ay = aq[:, 0], aq[:, 1]
     ikx = 1j * grid64.kx_grad[:, None]
     iky = 1j * grid64.ky_grad[None, :]
@@ -399,7 +399,7 @@ def test_operator_matches_two_dimensional_form(grid64):
 
 
 def test_operator_is_hermitian_on_the_grid(grid64):
-    op, phi, _ = _vortex_operator(grid64, 2, 2)
+    op, phi, _ = _vortex_operator(grid64, 2)
     rng = np.random.default_rng(11)
     u, v = (rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
             for _ in range(2))
