@@ -9,7 +9,7 @@ waves.
 """
 
 from ._fft import get_workers, set_workers
-from .beams import BeamSet, lg_amplitude, lg_beams, rabi_field, validity_metric, xi_ratios
+from .beams import BeamSet, lg_amplitude, lg_beams, rabi_field, xi_ratios
 from .config import SimConfig, default_config, parse_config, serialize_config
 from .diagnostics import (
     AnalyticPhase,
@@ -49,7 +49,7 @@ from .evolution import (
     step,
     thomas_fermi_density,
 )
-from .fieldio import read_field, write_csv, write_field
+from .fieldio import read_field, write_field
 from .gauge import (
     EffectiveGauge,
     TrapSolution,
@@ -140,10 +140,8 @@ __all__ = [
     "step",
     "thomas_fermi_density",
     "time_flux",
-    "validity_metric",
     "vortex_gauge_field",
     "winding",
-    "write_csv",
     "write_field",
     "xi_ratios",
 ]

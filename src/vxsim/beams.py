@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MaskError, WeakProbeWarning
-from .grid import SpectralGrid, gradient
+from .grid import SpectralGrid
 
 __all__ = [
     "lg_amplitude",
@@ -23,7 +23,6 @@ __all__ = [
     "BeamSet",
     "lg_beams",
     "xi_ratios",
-    "validity_metric",
 ]
 
 #: hard ceiling on probe/control amplitude ratio
@@ -121,8 +120,9 @@ class BeamSet:
                 stacklevel=2,
             )
 
-    # The complex Rabi fields.  The ramp scales these by a scalar envelope at
-    # step time, so they are computed once here.
+    # The complex Rabi fields.  Each call builds its field afresh (one complex
+    # exp over the grid); callers that reuse a field keep it, as SplitStepper
+    # does, and the ramp scales the kept fields by a scalar envelope.
     def omega_p1(self):
         return rabi_field(self.p1, self.l1, self.kp1, self.grid)
 
@@ -191,30 +191,3 @@ def xi_ratios(beams: BeamSet):
     xi2 = beams.omega_p2() / beams.omega_c2()
     return xi1, xi2
 
-
-def validity_metric(xi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Pointwise adiabatic-gauge validity ratio ``|grad|xi|^2| / (|xi|^2 |grad R|)``.
-
-    The gauge-potential reduction assumes amplitude gradients are dominated by
-    phase gradients; values well below 1 mark the trustworthy region.  Points
-    with ``|xi|`` below ``1e-12`` of its peak are returned as NaN; points with
-    vanishing phase gradient return inf.
-    """
-    xi = np.asarray(xi, dtype=np.complex128)
-    mod2 = np.abs(xi) ** 2
-    peak2 = float(np.max(mod2))
-    if peak2 == 0.0:
-        return np.full(grid.shape, np.nan)
-    gx, gy = gradient(mod2, grid)
-    amp_grad = np.hypot(gx.real, gy.real)
-    dxr, dyr = gradient(xi, grid)
-    # |xi|^2 * grad R = Im(conj(xi) * grad xi)
-    px = (np.conj(xi) * dxr).imag
-    py = (np.conj(xi) * dyr).imag
-    denom = np.hypot(px, py)
-    out = np.full(grid.shape, np.nan)
-    live = mod2 > (1e-12) ** 2 * peak2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0, amp_grad / denom, np.inf)
-    out[live] = ratio[live]
-    return out

@@ -8,7 +8,10 @@ serialization round-trip exactly (floats are emitted with repr).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -93,6 +96,8 @@ class SimConfig:
     outcouple: OutcoupleConfig
 
 
+_SECTION_TYPES = get_type_hints(SimConfig)
+
 # key -> (type, default); order here is the canonical serialization order
 _SCHEMA: dict[str, tuple[type, object]] = {
     "grid.nx": (int, 128),
@@ -148,14 +153,15 @@ _SCHEMA: dict[str, tuple[type, object]] = {
 
 def _convert(key: str, raw: str, line: int):
     typ = _SCHEMA[key][0]
-    try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
+    if typ is str:
         return raw
+    try:
+        val = typ(raw)
     except ValueError:
         raise ConfigError(f"{key} expects {typ.__name__}, got {raw!r}", line) from None
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"{key} = {raw}: must be finite", line)
+    return val
 
 
 def _power_of_two(n: int) -> bool:
@@ -203,53 +209,23 @@ def _validate(v: dict, where: dict[str, int | None]):
         fail("outcouple.v0", "atomic beam must be slower than light (v0 < c)")
 
 
-def _build(v: dict) -> SimConfig:
-    def beam(name):
-        return BeamConfig(
-            peak=v[f"beam.{name}.peak"],
-            waist=v[f"beam.{name}.waist"],
-            l=v[f"beam.{name}.l"],
-            kx=v[f"beam.{name}.kx"],
-            ky=v[f"beam.{name}.ky"],
-        )
+def _path(key: str) -> list[str]:
+    """Attribute path of ``key`` on :class:`SimConfig`: the key without a
+    leading ``beam``/``beams`` (``beam.p1.peak`` -> ``p1.peak``)."""
+    parts = key.split(".")
+    return parts[1:] if parts[0] in ("beam", "beams") else parts
 
-    return SimConfig(
-        grid=GridConfig(nx=v["grid.nx"], ny=v["grid.ny"], lx=v["grid.lx"], ly=v["grid.ly"]),
-        p1=beam("p1"),
-        p2=beam("p2"),
-        c1=beam("c1"),
-        c2=beam("c2"),
-        eps12=v["beams.eps12"],
-        eps13=v["beams.eps13"],
-        eps14=v["beams.eps14"],
-        eps15=v["beams.eps15"],
-        physics=PhysicsConfig(
-            u=v["physics.u"],
-            rho0=v["physics.rho0"],
-            tf_radius=v["physics.tf_radius"],
-            rim=v["physics.rim"],
-            traps=v["physics.traps"],
-        ),
-        run=RunConfig(
-            mode=v["run.mode"],
-            dt=v["run.dt"],
-            n_steps=v["run.n_steps"],
-            ramp_time=v["run.ramp_time"],
-            snapshot_every=v["run.snapshot_every"],
-            out_dir=v["run.out_dir"],
-            seed=v["run.seed"],
-        ),
-        outcouple=OutcoupleConfig(
-            g1=v["outcouple.g1"],
-            g2=v["outcouple.g2"],
-            omega0_1=v["outcouple.omega0_1"],
-            omega0_2=v["outcouple.omega0_2"],
-            n=v["outcouple.n"],
-            v0=v["outcouple.v0"],
-            c=v["outcouple.c"],
-            length=v["outcouple.length"],
-        ),
-    )
+
+def _build(v: dict) -> SimConfig:
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    for key in _SCHEMA:
+        *head, attr = _path(key)
+        target = sections.setdefault(head[0], {}) if head else top
+        target[attr] = v[key]
+    for name, fields in sections.items():
+        top[name] = _SECTION_TYPES[name](**fields)
+    return SimConfig(**top)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -281,21 +257,7 @@ def parse_config(text: str) -> SimConfig:
 
 
 def _lookup(cfg: SimConfig, key: str):
-    section, _, rest = key.partition(".")
-    if section == "grid":
-        return getattr(cfg.grid, rest)
-    if section == "beam":
-        name, _, attr = rest.partition(".")
-        return getattr(getattr(cfg, name), attr)
-    if section == "beams":
-        return getattr(cfg, rest)
-    if section == "physics":
-        return getattr(cfg.physics, rest)
-    if section == "run":
-        return getattr(cfg.run, rest)
-    if section == "outcouple":
-        return getattr(cfg.outcouple, rest)
-    raise KeyError(key)
+    return reduce(getattr, _path(key), cfg)
 
 
 def serialize_config(cfg: SimConfig) -> str:

@@ -201,7 +201,6 @@ class CompareReport:
     """Outcome of comparing two states up to a global phase."""
 
     l2_error: float
-    max_phase_diff: float
     global_phase: float
     windings_a: tuple[int, ...]
     windings_b: tuple[int, ...]
@@ -211,27 +210,19 @@ class CompareReport:
         return self.windings_a == self.windings_b
 
 
-def compare_states(
-    a: Field,
-    b: Field,
-    mask: np.ndarray | None = None,
-    loops: tuple[LoopSpec, ...] = (),
-) -> CompareReport:
-    """L2 and phase distance between two fields modulo one global phase.
+def compare_states(a: Field, b: Field, loops: tuple[LoopSpec, ...] = ()) -> CompareReport:
+    """L2 distance between two fields modulo one global phase.
 
     The optimal phase exp(i*theta) multiplying ``b`` is the closed form
     theta = arg(sum conj(a)*b) (minimizes the L2 distance).  The L2 error is
     normalized by the larger of the two field norms, making the metric
-    symmetric; the max phase difference is taken where both amplitudes clear
-    the floor.  Windings of both fields are measured on each loop given.
+    symmetric.  Windings of both fields are measured on each loop given.
     """
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
     grid = a.grid
-    if mask is None:
-        mask = np.ones(grid.shape, dtype=bool)
-    av = np.where(mask, a.values, 0.0)
-    bv = np.where(mask, b.values, 0.0)
+    av = a.values
+    bv = b.values
 
     overlap = complex(np.sum(np.conj(av) * bv))
     theta = float(np.angle(overlap)) if overlap != 0 else 0.0
@@ -245,23 +236,6 @@ def compare_states(
     else:
         l2 = float(np.sqrt(grid.integrate(np.abs(av - bv_aligned) ** 2))) / denom
 
-    both = (
-        mask
-        & (np.abs(a.values) > AMPLITUDE_FLOOR * float(np.max(np.abs(av), initial=0.0)))
-        & (np.abs(b.values) > AMPLITUDE_FLOOR * float(np.max(np.abs(bv), initial=0.0)))
-    )
-    if both.any():
-        d = np.angle(a.values[both] * np.conj(bv_aligned[both]))
-        max_phase = float(np.max(np.abs(d)))
-    else:
-        max_phase = 0.0
-
     wa = tuple(winding(a, lp).value for lp in loops)
     wb = tuple(winding(b, lp).value for lp in loops)
-    return CompareReport(
-        l2_error=l2,
-        max_phase_diff=max_phase,
-        global_phase=theta,
-        windings_a=wa,
-        windings_b=wb,
-    )
+    return CompareReport(l2_error=l2, global_phase=theta, windings_a=wa, windings_b=wb)

@@ -113,20 +113,20 @@ def thomas_fermi_density(grid: SpectralGrid, rho0: float, radius: float, rim: fl
     return rho0 * rim * np.logaddexp(0.0, u / rim)
 
 
-def qp_cancel_potential(grid: SpectralGrid, rho: np.ndarray, floor: float = 1e-8):
+def qp_cancel_potential(grid: SpectralGrid, rho: np.ndarray):
     """Trap that makes ``sqrt(rho)`` kinetic-free: ``laplacian(sqrt(rho))/(2*sqrt(rho))``.
 
     With this as V1, the ground component evolves as
     ``sqrt(rho) * exp(-i*u*rho*t)`` until interaction-driven transport sets
     in, which keeps the background stationary on loading timescales.  The
-    ratio is zeroed where ``rho`` is below ``floor`` of its peak (the value is
+    ratio is zeroed where ``rho`` is below 1e-8 of its peak (the value is
     irrelevant there and the quotient is noise).
     """
     rho = np.asarray(rho, dtype=float)
     amp = np.sqrt(rho)
     lap = laplacian(amp, grid).real
     out = np.zeros(grid.shape)
-    live = rho > floor * float(np.max(rho))
+    live = rho > 1e-8 * float(np.max(rho))
     out[live] = 0.5 * lap[live] / amp[live]
     return out
 

@@ -2,8 +2,7 @@
 
 Binary layout (``VXF1``): magic bytes ``b"VXF1"``, little-endian u32 nx,
 u32 ny, f64 lx, f64 ly, then ``nx*ny`` interleaved (re, im) f64 pairs in
-row-major order (x index outermost).  The text exporter writes one
-``x,y,re,im`` line per grid point in the same order.
+row-major order (x index outermost).
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ import struct
 import numpy as np
 
 from .errors import FieldFormatError
-from .grid import Field, SpectralGrid, make_grid
+from .grid import Field, make_grid
 
-__all__ = ["MAGIC", "write_field", "read_field", "write_csv"]
+__all__ = ["MAGIC", "write_field", "read_field"]
 
 MAGIC = b"VXF1"
 _HEADER = struct.Struct("<4sIIdd")
@@ -40,8 +39,10 @@ def read_field(path) -> Field:
     Raises
     ------
     FieldFormatError
-        On a bad magic marker, a truncated payload, or header sizes that fail
-        the grid contract.
+        On a truncated header, a bad magic marker, or a payload whose length
+        does not match the header.
+    GridSizeError
+        On header sizes that fail the grid contract (see :func:`make_grid`).
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -60,16 +61,3 @@ def read_field(path) -> Field:
     values = np.frombuffer(payload, dtype="<c16").reshape(nx, ny)
     return Field(grid=grid, values=values.astype(np.complex128))
 
-
-def write_csv(path, field: Field) -> None:
-    """Write the column-text export, one ``x,y,re,im`` row per point."""
-    g = field.grid
-    vals = field.values
-    with open(path, "w") as fh:
-        fh.write("x,y,re,im\n")
-        for i in range(g.nx):
-            # repr of builtin floats round-trips exactly and stays plain text
-            xi = repr(float(g.x[i]))
-            for j in range(g.ny):
-                v = vals[i, j]
-                fh.write(f"{xi},{float(g.y[j])!r},{float(v.real)!r},{float(v.imag)!r}\n")

@@ -294,8 +294,8 @@ def vortex_gauge_field(grid: SpectralGrid, l: int) -> np.ndarray:
     return np.stack([ax, ay])
 
 
-def fill_masked(field: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Copy with NaN replaced by ``fill`` (for feeding masked outputs to evolution)."""
+def fill_masked(field: np.ndarray) -> np.ndarray:
+    """Copy with NaN replaced by 0 (for feeding masked outputs to evolution)."""
     out = np.array(field, copy=True)
-    out[~np.isfinite(out)] = fill
+    out[~np.isfinite(out)] = 0.0
     return out

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .beams import BeamSet, lg_amplitude, xi_ratios
-from .config import SimConfig, serialize_config
+from .config import SimConfig, parse_config, serialize_config
 from .diagnostics import (
     AnalyticPhase,
     LoopSpec,
@@ -457,7 +457,11 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
     """
     t_start = time.perf_counter()
     directory = Path(out_dir) if out_dir is not None else Path(cfg.run.out_dir)
+    params = serialize_config(cfg)
     try:
+        # a config built in code gets the checks of a parsed one; a line
+        # number here counts in the canonical text
+        parse_config(params)
         grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
         advisory = advisory_dt(grid)
         if cfg.run.dt > advisory and not override_dt:
@@ -484,7 +488,7 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
 
     report.values["run.seed"] = cfg.run.seed
     report.values["runtime_s"] = time.perf_counter() - t_start
-    report.values["params_sha256"] = hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    report.values["params_sha256"] = hashlib.sha256(params.encode()).hexdigest()
     report.out_dir = directory
     out.text("report.txt", "\n".join(report.lines()) + "\n")
     _write_manifest(out, report.values["params_sha256"], report)

@@ -6,7 +6,6 @@ from vxsim.beams import (
     lg_amplitude,
     lg_beams,
     rabi_field,
-    validity_metric,
     xi_ratios,
 )
 from vxsim.errors import MaskError, WeakProbeWarning
@@ -108,33 +107,3 @@ def test_xi_ratios_guards_control_underflow(grid64):
     beams = BeamSet(grid=grid64, p1=zeros, p2=zeros, c1=narrow, c2=narrow, l1=1, l2=-1)
     with pytest.raises(MaskError, match="undefined"):
         xi_ratios(beams)
-
-
-def test_validity_metric_general_profile(grid64):
-    # freeze the closed form |2 - 4 r^2 / w_eff^2| for an l = 1 ring over a
-    # wide Gaussian control, 1/w_eff^2 = 1/wp^2 - 1/wc^2.  The equal-waist
-    # limit w_eff -> inf makes the metric 2 everywhere: the amplitude
-    # gradient never drops below the phase gradient, so matched waists sit
-    # permanently outside the adiabatic-gauge regime.
-    # waists narrow enough that the ratio tail reaches machine zero inside
-    # the box, keeping the spectral gradients Gibbs-free
-    wp, wc = 1.5, 4.5
-    w_eff2 = 1.0 / (1.0 / wp**2 - 1.0 / wc**2)
-    beams = lg_beams(grid64, 1, -1, 0.3, wp, 10.0, wc)
-    xi1, _ = xi_ratios(beams)
-    metric = validity_metric(xi1, grid64)
-    live = (grid64.r_map > 1.0) & (grid64.r_map < 4.0)
-    expected = np.abs(2.0 - 4.0 * grid64.r_map**2 / w_eff2)
-    assert np.nanmax(np.abs(metric[live] - expected[live])) < 1e-6
-
-
-def test_validity_metric_degenerate_inputs(grid64):
-    out = validity_metric(np.zeros(grid64.shape, dtype=complex), grid64)
-    assert np.all(np.isnan(out))
-    # exactly constant field: both gradients vanish identically -> inf
-    out = validity_metric(0.7 * np.ones(grid64.shape, dtype=complex), grid64)
-    assert np.all(np.isinf(out))
-    # pure phase winding: amplitude gradient is roundoff against l/r
-    out = validity_metric(np.exp(1j * grid64.phi_map), grid64)
-    live = (grid64.r_map > 1.0) & (grid64.r_map < 5.0)
-    assert np.nanmax(out[live]) < 1e-12

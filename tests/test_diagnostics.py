@@ -135,7 +135,6 @@ def test_compare_identical(vortex_field):
     rep = compare_states(vortex_field, vortex_field)
     # the optimal-phase rotation is applied even here, so allow its roundoff
     assert rep.l2_error < 1e-30
-    assert rep.max_phase_diff < 1e-15
     assert abs(rep.global_phase) < 1e-30
 
 
@@ -146,7 +145,6 @@ def test_compare_recovers_global_phase(grid64, vortex_field):
     rep = compare_states(vortex_field, rotated, loops=(loop,))
     assert rep.global_phase == pytest.approx(theta, abs=1e-12)
     assert rep.l2_error < 1e-14
-    assert rep.max_phase_diff < 1e-12
     assert rep.windings_a == (1,) and rep.windings_b == (1,)
     assert rep.windings_agree
 
@@ -155,14 +153,6 @@ def test_compare_scale_mismatch(grid64, vortex_field):
     doubled = Field(grid64, 2.0 * vortex_field.values)
     rep = compare_states(vortex_field, doubled)
     assert rep.l2_error == pytest.approx(0.5, rel=1e-12)
-
-
-def test_compare_respects_mask(grid64, vortex_field):
-    outside = grid64.r_map >= 3.0
-    vals = vortex_field.values.copy()
-    vals[outside] *= -1.0  # corrupt only the excluded region
-    rep = compare_states(vortex_field, Field(grid64, vals), mask=~outside)
-    assert rep.l2_error < 1e-14
 
 
 def test_compare_grid_mismatch(vortex_field):

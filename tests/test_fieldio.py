@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vxsim.errors import FieldFormatError
-from vxsim.fieldio import MAGIC, read_field, write_csv, write_field
+from vxsim.fieldio import MAGIC, read_field, write_field
 from vxsim.grid import Field, make_grid
 
 
@@ -74,16 +74,3 @@ def test_header_grid_contract_enforced(tmp_path, sample_field):
 
     with pytest.raises(GridSizeError):
         read_field(path)
-
-
-def test_csv_export(tmp_path, sample_field):
-    path = tmp_path / "f.csv"
-    write_csv(path, sample_field)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + 8 * 8
-    x, y, re, im = (float(tok) for tok in lines[1].split(","))
-    g = sample_field.grid
-    assert (x, y) == (g.x[0], g.y[0])
-    assert re == sample_field.values[0, 0].real
-    assert im == sample_field.values[0, 0].imag

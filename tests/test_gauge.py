@@ -156,8 +156,6 @@ def test_fill_masked():
     field = np.array([[1.0, np.nan], [np.inf, -2.0]])
     out = fill_masked(field)
     np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, -2.0]])
-    out5 = fill_masked(field, fill=5.0)
-    assert out5[0, 1] == 5.0 and out5[1, 0] == 5.0
     assert np.isnan(field[0, 1])  # input untouched
 
 

@@ -2,6 +2,7 @@ import csv
 import re
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,15 @@ def test_setup_failures_are_exit_2(tmp_path, text, cause):
     rep = run(parse_config(text), out_dir=tmp_path / "out")
     assert rep.exit_code == 2
     assert cause in rep.values["error"]
+
+
+def test_non_finite_config_built_in_code_is_exit_2(tmp_path):
+    cfg = parse_config(SHORT)
+    cfg = replace(cfg, run=replace(cfg.run, dt=float("nan")))
+    rep = run(cfg, out_dir=tmp_path / "out")
+    assert rep.exit_code == 2
+    assert rep.values["error"].startswith("config:")
+    assert "run.dt = nan: must be finite" in rep.values["error"]
 
 
 PEAKS = (0.0, 0.3, 1.0)
