@@ -1,8 +1,8 @@
 """Thin FFT wrappers with a process-wide worker cap.
 
-All spectral work in the package funnels through these helpers so the
-``VXSIM_THREADS`` cap set by the CLI (or by ``set_workers``) applies uniformly.
-The default of one worker keeps output bit-identical across hosts.
+All spectral work in the package funnels through these helpers so the cap
+set by ``set_workers`` applies uniformly.  The default of one worker keeps
+output bit-identical across hosts.
 """
 
 import scipy.fft as _sfft

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import _fft
 from .config import MODES, parse_config
 from .errors import ConfigError
 from .runner import run
@@ -33,14 +31,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    threads = os.environ.get("VXSIM_THREADS")
-    if threads:
-        try:
-            _fft.set_workers(int(threads))
-        except ValueError:
-            print(f"sim: invalid VXSIM_THREADS value {threads!r}", file=sys.stderr)
-            return 2
 
     path = Path(args.config)
     try:

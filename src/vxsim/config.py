@@ -14,13 +14,13 @@ from functools import reduce
 from typing import get_type_hints
 
 from .errors import ConfigError
+from .outcoupling import OutcouplingParams
 
 __all__ = [
     "BeamConfig",
     "GridConfig",
     "PhysicsConfig",
     "RunConfig",
-    "OutcoupleConfig",
     "SimConfig",
     "parse_config",
     "serialize_config",
@@ -69,18 +69,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class OutcoupleConfig:
-    g1: float
-    g2: float
-    omega0_1: float
-    omega0_2: float
-    n: float
-    v0: float
-    c: float
-    length: float
-
-
-@dataclass(frozen=True)
 class SimConfig:
     grid: GridConfig
     p1: BeamConfig
@@ -93,7 +81,7 @@ class SimConfig:
     eps15: float
     physics: PhysicsConfig
     run: RunConfig
-    outcouple: OutcoupleConfig
+    outcouple: OutcouplingParams
 
 
 _SECTION_TYPES = get_type_hints(SimConfig)

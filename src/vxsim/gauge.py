@@ -1,20 +1,17 @@
 """Dark-state reduction: effective gauge potentials and trap engineering.
 
-With probe/control ratios xi1, xi2 the condensate dark state is
-(1, -xi1, -xi2)/sqrt(Xi1), Xi1 = 1 + |xi1|^2 + |xi2|^2, and the two reduced
-vortex flavors see effective vector potentials
+With probe/control ratios xi_j = |xi_j| exp(i R_j) the condensate dark state
+is (1, -xi1, -xi2)/sqrt(Xi1), Xi1 = 1 + s1 + s2 with s_j = |xi_j|^2, and the
+two reduced vortex flavors see real effective vector potentials built from
+the two phase currents J_j = Im(xi_j* grad xi_j) = s_j grad R_j:
 
-    A1 = (xi1* grad xi1 + xi2* grad xi2) / Xi1
-    A2 = (-grad xi2 + xi1*(xi2 grad xi1 - xi1 grad xi2)) / (Xi1 xi2)
-    A3 = (-grad xi1 + xi2*(xi1 grad xi2 - xi2 grad xi1)) / (Xi1 xi1)
+    A1 = (J1 + J2) / Xi1
+    A2 = (J1 - (1 + s1) J2 / s2) / Xi1
+    A3 = (J2 - (1 + s2) J1 / s1) / Xi1
 
-(the A2, A3 forms are the quotient-rule expansions of the raw expressions
-Xi2^-1 [(1/xi2*) grad(1/xi2) + (xi1*/xi2*) grad(xi1/xi2)] and its 1<->2
-mirror, collected over a common denominator so the only poles left are the
-physical ones at xi2 = 0 resp. xi1 = 0).  The potentials returned are the
-imaginary parts Im(A_full) of these expressions, which reduce to the
-phase-gradient forms |xi|^2 grad R / Xi with xi_j = |xi_j| exp(i R_j): the
-real vector potentials of the reduced flavor equations.
+These are the imaginary parts of the complex dark-state potentials (see
+``docs/gauge_identities.md``); the normalization factors of the reduced
+flavor equations are Xi1, Xi2 = Xi1/s2 and Xi3 = Xi1/s1.
 
 Conventions fixed by the stationary vortex solutions: for equal ratio
 moduli, opposite probe charges l1 = -l2 = l and no wavevector tilts,
@@ -60,6 +57,12 @@ def _vector_gradient(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return np.stack([rx + 1j * ix, ry + 1j * iy])
 
 
+def _phase_current(xi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """J = Im(xi* grad xi) = |xi|^2 grad R, shape (2, nx, ny)."""
+    g = _vector_gradient(xi, grid)
+    return xi.real * g.imag - xi.imag * g.real
+
+
 def _abs2(vec: np.ndarray) -> np.ndarray:
     """Pointwise |A|^2 of a real 2-vector field."""
     return vec[0] ** 2 + vec[1] ** 2
@@ -69,21 +72,17 @@ def _abs2(vec: np.ndarray) -> np.ndarray:
 class EffectiveGauge:
     """Gauge data of the dark-state reduction on one grid.
 
-    Vector fields are the real potentials Im(A_full), shape (2, nx, ny).
-    ``big_xi1/2/3`` are the normalization factors Xi_alpha (all >= 1 on the
-    mask).  Points outside ``mask`` hold NaN in the vector and Xi2/Xi3
-    fields.  Iterating yields (a1, a2, a3).
+    ``a1``/``a2``/``a3`` are the real potentials, shape (2, nx, ny), NaN
+    outside ``mask``; ``s1``/``s2`` are the squared ratio moduli
+    |xi1|^2, |xi2|^2 on the whole grid.  Iterating yields (a1, a2, a3).
     """
 
     grid: SpectralGrid
-    xi1: np.ndarray
-    xi2: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
-    big_xi1: np.ndarray
-    big_xi2: np.ndarray
-    big_xi3: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
     mask: np.ndarray
 
     def __iter__(self):
@@ -117,44 +116,22 @@ def gauge_potentials(
     if not mask.any():
         raise MaskError("no evaluable points: ratios below floor everywhere outside the core")
 
-    g1 = _vector_gradient(xi1, grid)
-    g2 = _vector_gradient(xi2, grid)
     s1 = m1**2
     s2 = m2**2
+    j1 = _phase_current(xi1, grid)
+    j2 = _phase_current(xi2, grid)
     big1 = 1.0 + s1 + s2
 
-    a1 = (np.conj(xi1) * g1 + np.conj(xi2) * g2) / big1
-
+    a1 = (j1 + j2) / big1
     with np.errstate(divide="ignore", invalid="ignore"):
-        a2 = (-g2 + np.conj(xi1) * (xi2 * g1 - xi1 * g2)) / (big1 * xi2)
-        a3 = (-g1 + np.conj(xi2) * (xi1 * g2 - xi2 * g1)) / (big1 * xi1)
-        big2 = big1 / s2
-        big3 = big1 / s1
-
-    a1 = np.ascontiguousarray(a1.imag)
-    a2 = np.ascontiguousarray(a2.imag)
-    a3 = np.ascontiguousarray(a3.imag)
+        a2 = (j1 - (1.0 + s1) * j2 / s2) / big1
+        a3 = (j2 - (1.0 + s2) * j1 / s1) / big1
 
     bad = ~mask
     for arr in (a1, a2, a3):
         arr[:, bad] = np.nan
-    big2 = big2.copy()
-    big3 = big3.copy()
-    big2[bad] = np.nan
-    big3[bad] = np.nan
 
-    return EffectiveGauge(
-        grid=grid,
-        xi1=xi1,
-        xi2=xi2,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        big_xi1=big1,
-        big_xi2=big2,
-        big_xi3=big3,
-        mask=mask,
-    )
+    return EffectiveGauge(grid=grid, a1=a1, a2=a2, a3=a3, s1=s1, s2=s2, mask=mask)
 
 
 def effective_potentials(
@@ -175,12 +152,13 @@ def effective_potentials(
     The level shifts follow the beam detunings by subscript antisymmetry:
     pass eps21 = -beams.eps12 and eps31 = -beams.eps13.
     """
-    s1 = np.abs(gauge.xi1) ** 2
-    s2 = np.abs(gauge.xi2) ** 2
-    big1, big2, big3 = gauge.big_xi1, gauge.big_xi2, gauge.big_xi3
+    s1, s2 = gauge.s1, gauge.s2
+    big1 = 1.0 + s1 + s2
 
     veff1 = (v1 + s1 * v2 + s2 * v3 + _abs2(gauge.a1) / (2.0 * big1)) / big1
     with np.errstate(divide="ignore", invalid="ignore"):
+        big2 = big1 / s2
+        big3 = big1 / s1
         veff2 = (v2 + (eps21 + v1) / s2 - v3 * s1 / s2 + _abs2(gauge.a2) / (2.0 * big2)) / big2
         veff3 = (v3 + (eps31 + v1) / s1 - v2 * s2 / s1 + _abs2(gauge.a3) / (2.0 * big3)) / big3
 
@@ -242,11 +220,13 @@ def solve_traps(
         raise ValueError("v1 must match the grid shape")
     mask = gauge.mask
 
-    s1 = np.abs(gauge.xi1) ** 2
-    s2 = np.abs(gauge.xi2) ** 2
+    s1, s2 = gauge.s1, gauge.s2
+    big1 = 1.0 + s1 + s2
     with np.errstate(divide="ignore", invalid="ignore"):
-        b2 = (eps21 + v1) / s2 + _abs2(gauge.a2) / (2.0 * gauge.big_xi2)
-        b3 = (eps31 + v1) / s1 + _abs2(gauge.a3) / (2.0 * gauge.big_xi3)
+        big2 = big1 / s2
+        big3 = big1 / s1
+        b2 = (eps21 + v1) / s2 + _abs2(gauge.a2) / (2.0 * big2)
+        b3 = (eps31 + v1) / s1 + _abs2(gauge.a3) / (2.0 * big3)
         c = s1 / s2
 
     v2 = np.zeros(grid.shape)
@@ -258,12 +238,12 @@ def solve_traps(
     # residuals are the effective potentials themselves at the solution
     res2 = np.full(grid.shape, np.nan)
     res3 = np.full(grid.shape, np.nan)
-    res2[mask] = (v2[mask] - cm * v3[mask] + b2[mask]) / gauge.big_xi2[mask]
-    res3[mask] = (v3[mask] - v2[mask] * (s2[mask] / s1[mask]) + b3[mask]) / gauge.big_xi3[mask]
+    res2[mask] = (v2[mask] - cm * v3[mask] + b2[mask]) / big2[mask]
+    res3[mask] = (v3[mask] - v2[mask] * (s2[mask] / s1[mask]) + b3[mask]) / big3[mask]
 
     scale = max(
-        float(np.max(np.abs(b2[mask] / gauge.big_xi2[mask]))),
-        float(np.max(np.abs(b3[mask] / gauge.big_xi3[mask]))),
+        float(np.max(np.abs(b2[mask] / big2[mask]))),
+        float(np.max(np.abs(b3[mask] / big3[mask]))),
     )
     worst = max(float(np.max(np.abs(res2[mask]))), float(np.max(np.abs(res3[mask]))))
     max_residual = 0.0 if scale == 0.0 else worst / scale

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,6 @@ from .gauge import (
 from .grid import Field, SpectralGrid, make_grid
 from .outcoupling import (
     EnvelopeHistory,
-    OutcouplingParams,
     delay,
     delay_table,
     output_field,
@@ -400,7 +399,7 @@ def _run_outcouple(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
     for name in ("p1", "p2"):
         if getattr(cfg, name).peak == 0.0:
             raise ConfigError(f"beam.{name}.peak = 0 leaves no probe light to out-couple")
-    params = OutcouplingParams(**asdict(cfg.outcouple))
+    params = cfg.outcouple
     values = {"mode": "outcouple"}
 
     for pair in (1, 2):

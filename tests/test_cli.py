@@ -86,25 +86,6 @@ def test_bad_key_reports_path_and_line(tmp_path, capsys):
     assert "unknown key" in err
 
 
-def test_invalid_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VXSIM_THREADS", "many")
-    cfg = write_cfg(tmp_path, OUTCOUPLE_CFG)
-    assert main(["--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "VXSIM_THREADS" in capsys.readouterr().err
-
-
-def test_valid_threads_env(tmp_path, capsys, monkeypatch):
-    from vxsim import _fft
-
-    monkeypatch.setenv("VXSIM_THREADS", "2")
-    cfg = write_cfg(tmp_path, OUTCOUPLE_CFG)
-    try:
-        assert main(["--config", cfg, "--out", str(tmp_path / "x")]) == 0
-        assert _fft.get_workers() == 2
-    finally:
-        _fft.set_workers(1)  # process-wide cap: restore for later tests
-
-
 def test_dt_advisory_refusal_and_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, OUTCOUPLE_CFG + "run.dt = 0.5\n")
     out = tmp_path / "out"

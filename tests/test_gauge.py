@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vxsim.beams import xi_ratios
+from vxsim.beams import lg_beams, xi_ratios
 from vxsim.diagnostics import LoopSpec, loop_integral
 from vxsim.errors import MaskError, TrapSolveError
 from vxsim.gauge import (
+    _vector_gradient,
     effective_potentials,
     fill_masked,
     gauge_potentials,
@@ -71,7 +72,7 @@ def test_numeric_closed_forms_independent_envelopes(grid128, synthetic_ring_rati
     g = gauge_potentials(xi1, xi2, grid128)
     r = grid128.r_map
     inner = g.mask & (r < 3.5)
-    denom = r[inner] * g.big_xi1[inner]
+    denom = r[inner] * (1.0 + f1**2 + f2**2)[inner]
     pred1 = np.abs(f1**2 - f2**2)[inner] / denom
     pred2 = (1.0 + 2.0 * f1**2)[inner] / denom
     pred3 = (1.0 + 2.0 * f2**2)[inner] / denom
@@ -94,6 +95,39 @@ def test_combination_identity_general_amplitudes(grid128, synthetic_ring_ratios)
     g = gauge_potentials(xi1, xi2, grid128)
     comb = vec_mag(g.a2 + g.a3 - 2.0 * g.a1)
     assert np.nanmax(comb[g.mask]) < 1e-8 * np.nanmax(vec_mag(g.a2))
+
+
+@pytest.mark.parametrize(
+    "l1, l2, tilts",
+    [
+        pytest.param(1, -1, {"kp1": (0.3, 0.1), "kc2": (-0.2, 0.0)}, id="tilted"),
+        pytest.param(1, 2, {}, id="non-opposite"),
+    ],
+)
+def test_real_forms_match_complex_definitions(grid128, l1, l2, tilts):
+    """The phase-current forms equal the imaginary parts of the complex
+    dark-state potentials, collected over a common denominator."""
+    beams = lg_beams(
+        grid128, l1=l1, l2=l2, probe_peak=0.3, probe_waist=2.0,
+        control_peak=10.0, control_waist=6.0, **tilts,
+    )
+    xi1, xi2 = xi_ratios(beams)
+    g = gauge_potentials(xi1, xi2, grid128)
+
+    g1 = _vector_gradient(xi1, grid128)
+    g2 = _vector_gradient(xi2, grid128)
+    big1 = 1.0 + np.abs(xi1) ** 2 + np.abs(xi2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = (
+            (np.conj(xi1) * g1 + np.conj(xi2) * g2) / big1,
+            (-g2 + np.conj(xi1) * (xi2 * g1 - xi1 * g2)) / (big1 * xi2),
+            (-g1 + np.conj(xi2) * (xi1 * g2 - xi2 * g1)) / (big1 * xi1),
+        )
+    scale = np.nanmax(np.abs(g.a2))
+    for a, full in zip(g, ref):
+        want = np.where(g.mask, full.imag, np.nan)
+        assert np.array_equal(np.isnan(a), np.isnan(want))
+        assert np.nanmax(np.abs(a - want)) <= 1e-14 * scale
 
 
 def test_degenerate_ratios_collapse(weak_beams64, grid64):
@@ -127,10 +161,7 @@ def test_mask_geometry_and_xi_floor(grid128, synthetic_ring_ratios):
     assert np.isfinite(g.a2[:, g.mask]).all()
     floor = 1e-6 * np.abs(xi1).max()
     assert np.abs(xi1[g.mask]).min() > floor
-    # big_xi fields: Xi1 >= 1 everywhere, Xi2/Xi3 >= 1 on the mask
-    assert g.big_xi1.min() >= 1.0
-    assert np.nanmin(g.big_xi2[g.mask]) >= 1.0
-    assert np.nanmin(g.big_xi3[g.mask]) >= 1.0
+    assert np.array_equal(g.s1, np.abs(xi1) ** 2)
 
 
 def test_mask_error_when_nothing_survives(grid128, synthetic_ring_ratios):
