@@ -12,7 +12,6 @@ from ._fft import get_workers, set_workers
 from .beams import BeamSet, lg_amplitude, lg_beams, rabi_field, xi_ratios
 from .config import SimConfig, default_config, parse_config, serialize_config
 from .diagnostics import (
-    AnalyticPhase,
     CompareReport,
     LoopSpec,
     WindingResult,
@@ -55,6 +54,7 @@ from .gauge import (
     TrapSolution,
     effective_potentials,
     fill_masked,
+    flavor_fields,
     gauge_potentials,
     solve_traps,
     vortex_gauge_field,
@@ -77,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticityWarning",
-    "AnalyticPhase",
     "BeamSet",
     "CompareReport",
     "ConfigError",
@@ -116,6 +115,7 @@ __all__ = [
     "effective_potentials",
     "evolve_two_flavor",
     "fill_masked",
+    "flavor_fields",
     "gauge_potentials",
     "get_workers",
     "gradient",

@@ -20,7 +20,6 @@ from .grid import Field, SpectralGrid
 __all__ = [
     "LoopSpec",
     "WindingResult",
-    "AnalyticPhase",
     "CompareReport",
     "winding",
     "circulation",
@@ -145,55 +144,23 @@ def loop_integral(vec: np.ndarray, grid: SpectralGrid, loop: LoopSpec) -> float:
     return float(np.sum((-ax * np.sin(theta) + ay * np.cos(theta)) * tang))
 
 
-@dataclass(frozen=True)
-class AnalyticPhase:
-    """Phase content of the stationary vortex solution for one flavor.
+def analytic_state(beams: BeamSet, rho: np.ndarray, u: float, t: float) -> tuple[Field, Field]:
+    """The closed-form dark-state flavor fields on a stationary background.
 
-    ``q`` is the flavor charge (+1 or -1), ``l`` the common probe OAM index
-    (probe 1 carries +l, probe 2 carries -l).  The dynamical phase is
-    -t*(Veff + U*rho), with Veff = 0 unless ``veff`` is given.
-    """
+        phi_2 = -xi1 * sqrt(rho) * exp(-i t U rho),
+        phi_3 = -xi2 * sqrt(rho) * exp(-i t U rho),
 
-    q: int
-    l: int
-    u: float = 0.0
-    veff: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.q not in (-1, 1):
-            raise ValueError("charge q must be +1 or -1")
-
-
-def analytic_state(
-    phase: AnalyticPhase,
-    beams: BeamSet,
-    rho: np.ndarray,
-    grid: SpectralGrid,
-    t: float,
-) -> Field:
-    """The closed-form dark-state flavor field on a stationary background.
-
-        phi = -|xi_j(r)| * sqrt(rho) * exp(i S),
-        S = q*l*phi_angle - t*(Veff + U*rho)
-
-    with j = 1 for q = +1 and j = 2 for q = -1 (the amplitude is the
-    pointwise probe/control envelope ratio).  Restricted to untilted beams:
-    with wavevector tilts the dynamical phase integrates along moving
-    characteristics that leave the periodic box, so comparisons are not
-    defined; a tilted BeamSet is rejected.
+    each flavor carrying its own probe/control ratio, phase included.
+    Restricted to untilted beams: with wavevector tilts the dynamical phase
+    integrates along moving characteristics that leave the periodic box, so
+    comparisons are not defined; a tilted BeamSet raises ``ValueError``.
     """
     for name in ("kp1", "kp2", "kc1", "kc2"):
         if any(abs(k) != 0.0 for k in getattr(beams, name)):
             raise ValueError("analytic_state requires zero beam wavevector tilts")
-    xi1, xi2 = xi_ratios(beams)
-    amp = np.abs(xi1) if phase.q == 1 else np.abs(xi2)
     rho = np.asarray(rho, dtype=float)
-    s = phase.q * phase.l * grid.phi_map
-    dyn = phase.u * rho
-    if phase.veff is not None:
-        dyn = dyn + np.asarray(phase.veff, dtype=float)
-    s = s - t * dyn
-    return Field(grid=grid, values=-amp * np.sqrt(rho) * np.exp(1j * s))
+    slaved = -np.sqrt(rho) * np.exp(-1j * t * u * rho)
+    return tuple(Field(grid=beams.grid, values=xi * slaved) for xi in xi_ratios(beams))
 
 
 @dataclass(frozen=True)

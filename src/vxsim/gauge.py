@@ -21,6 +21,14 @@ charge q2 = +1 is covariantly constant.
 All ratio divisions are evaluated on a mask that excludes a disc of radius
 2*max(dx, dy) around the beam axis and any point where a ratio modulus
 falls below a relative floor; excluded points hold NaN.
+
+Runs do not use these potentials.  ``flavor_fields`` gives the fields the
+reduced flavors integrate, for any beam pair: flavor 2 follows xi1 and
+flavor 3 follows xi2, each with the phase gradient grad R_q = J_q/|xi_q|^2
+of its own ratio and the geometric scalar potential of its slaved
+amplitude (Juzeliunas, Ohberg, Ruseckas & Klein, PRA 71 (2005) 053614;
+Dalibard, Gerbier, Juzeliunas & Ohberg, RMP 83 (2011) 1523).  At the
+degenerate point grad R1 = A2 and grad R2 = A3.
 """
 
 from __future__ import annotations
@@ -30,11 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaskError, TrapSolveError
+from .evolution import qp_cancel_potential
 from .grid import SpectralGrid, gradient
 
 __all__ = [
     "EffectiveGauge",
     "TrapSolution",
+    "flavor_fields",
     "gauge_potentials",
     "effective_potentials",
     "solve_traps",
@@ -47,14 +57,15 @@ _XI_FLOOR = 1e-6
 
 
 def _vector_gradient(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    # Transform real and imaginary parts separately: conjugate-pair ratios
-    # (xi2 = conj(xi1), the degenerate configuration) then pick up exactly
-    # conjugate roundoff, so the cancellations A1 = 0 and A2 + A3 = 0
-    # survive at the floor of the evaluation mask, where a single complex
-    # transform would leave noise amplified by 1/|xi|.
+    # Transform real and imaginary parts separately and keep the real part
+    # of each gradient (the rest is ifft roundoff): conjugate-pair ratios
+    # (xi2 = conj(xi1), the degenerate configuration) then get exactly
+    # conjugate gradients, so J2 = -J1 and the cancellations A1 = 0 and
+    # A2 + A3 = 0 hold exactly, where a single complex transform would leave
+    # noise amplified by 1/|xi| at the floor of the evaluation mask.
     rx, ry = gradient(values.real, grid)
     ix, iy = gradient(values.imag, grid)
-    return np.stack([rx + 1j * ix, ry + 1j * iy])
+    return np.stack([rx.real + 1j * ix.real, ry.real + 1j * iy.real])
 
 
 def _phase_current(xi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -132,6 +143,36 @@ def gauge_potentials(
         arr[:, bad] = np.nan
 
     return EffectiveGauge(grid=grid, a1=a1, a2=a2, a3=a3, s1=s1, s2=s2, mask=mask)
+
+
+def flavor_fields(
+    xi1: np.ndarray,
+    xi2: np.ndarray,
+    rho: np.ndarray,
+    grid: SpectralGrid,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fields the reduced flavors integrate: ``(a, w)``, one per ratio.
+
+    Flavor 2 is slaved to ``-xi1 sqrt(rho)`` and flavor 3 to
+    ``-xi2 sqrt(rho)``; flavor q sees the phase gradient of its ratio,
+    ``a[q] = J_q / |xi_q|^2 = grad R_q``, shape (2, 2, nx, ny), and the
+    geometric scalar potential ``w[q] = qp_cancel_potential(grid,
+    |xi_q|^2 rho)``, shape (2, nx, ny), which cancels the kinetic energy of
+    the slaved amplitude.  ``a[q]`` is 0 where ``|xi_q|`` is below 1e-6 of
+    its own peak; no core disc is cut out.  Raises
+    :class:`~vxsim.errors.MaskError` if no point of a ratio clears that floor.
+    """
+    a = np.zeros((2, 2) + grid.shape)
+    w = np.empty((2,) + grid.shape)
+    for q, xi in enumerate((xi1, xi2)):
+        m = np.abs(xi)
+        live = m > _XI_FLOOR * float(m.max())
+        if not live.any():
+            raise MaskError(f"no evaluable points: ratio xi{q + 1} is zero everywhere")
+        s = m**2
+        a[q][:, live] = _phase_current(xi, grid)[:, live] / s[live]
+        w[q] = qp_cancel_potential(grid, s * rho)
+    return a, w
 
 
 def effective_potentials(

@@ -29,7 +29,6 @@ import numpy as np
 from .beams import BeamSet, lg_amplitude, xi_ratios
 from .config import SimConfig, parse_config, serialize_config
 from .diagnostics import (
-    AnalyticPhase,
     LoopSpec,
     analytic_state,
     circulation,
@@ -47,13 +46,9 @@ from .evolution import (
     thomas_fermi_density,
 )
 from .fieldio import write_field
-from .gauge import (
-    EffectiveGauge,
-    fill_masked,
-    gauge_potentials,
-    solve_traps,  # unused; bench/spans.py rebinds vxsim.runner.solve_traps to trace it
-    vortex_gauge_field,
-)
+from .gauge import flavor_fields
+# runs call neither; kept importable here for bench/spans.py, which rebinds both
+from .gauge import gauge_potentials, solve_traps  # noqa: F401
 from .grid import Field, SpectralGrid, make_grid
 from .outcoupling import (
     EnvelopeHistory,
@@ -103,9 +98,11 @@ class _Scenario:
     beams: BeamSet
     rho: np.ndarray
     traps: np.ndarray
-    # dark-state ratios and their gauge data, kept for the reduced branch
+    # the reduced branch's dark-state ratios and the fields each flavor
+    # sees: gauge fields (2, 2, nx, ny) and scalar potentials (2, nx, ny)
     xi: tuple[np.ndarray, np.ndarray] | None = None
-    gauge: EffectiveGauge | None = None
+    a: np.ndarray | None = None
+    w: np.ndarray | None = None
 
 
 def _build_beams(cfg: SimConfig, grid: SpectralGrid) -> BeamSet:
@@ -143,36 +140,23 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     if cfg.physics.traps == "engineered":
         # V1 holds the background; the slaved levels need no trap of their own
         scenario.traps[0] = qp_cancel_potential(grid, rho)
-    # the reduced branch's seed and gauge exports; reduced modes are engineered
+    # the reduced branch's seed and fields; reduced modes are engineered
     if cfg.run.mode != "full":
         scenario.xi = xi_ratios(beams)
-        scenario.gauge = gauge_potentials(*scenario.xi, grid)
+        scenario.a, scenario.w = flavor_fields(*scenario.xi, rho, grid)
     return scenario
 
 
-def _require_degenerate(cfg: SimConfig):
-    """Reduced modes assume the symmetric vortex pair; reject anything else."""
+def _require_reducible(cfg: SimConfig):
+    """Reduced modes take any beam pair, but only on the engineered
+    background and with no two-photon detuning."""
     problems = []
-    if cfg.p1.l == 0:
-        problems.append("beam.p1.l must be nonzero")
-    if cfg.p2.l != -cfg.p1.l:
-        problems.append("beam.p2.l must equal -beam.p1.l")
-    if (cfg.p1.peak, cfg.p1.waist) != (cfg.p2.peak, cfg.p2.waist):
-        problems.append("probe peaks/waists must match")
-    if (cfg.c1.peak, cfg.c1.waist) != (cfg.c2.peak, cfg.c2.waist):
-        problems.append("control peaks/waists must match")
-    for name in ("p1", "p2", "c1", "c2"):
-        beam = getattr(cfg, name)
-        if beam.kx != 0.0 or beam.ky != 0.0:
-            problems.append(f"beam.{name} wavevector tilts unsupported here")
     if cfg.eps12 != 0.0 or cfg.eps13 != 0.0:
-        problems.append("two-photon detunings must vanish")
+        problems.append("two-photon detunings beams.eps12 and beams.eps13 must vanish")
     if cfg.physics.traps != "engineered":
         problems.append("reduced dynamics assumes physics.traps = engineered")
     if problems:
-        raise ConfigError(
-            "effective/compare modes need the degenerate beam pair: " + "; ".join(problems)
-        )
+        raise ConfigError("effective/compare modes: " + "; ".join(problems))
 
 
 def _default_loop(cfg: SimConfig) -> LoopSpec:
@@ -200,11 +184,13 @@ class _Out:
         return path
 
 
-def _write_gauge_exports(out: _Out, grid: SpectralGrid, gauge):
-    for label, vec in (("a1", gauge.a1), ("a2", gauge.a2), ("a3", gauge.a3)):
-        for comp, axis in ((0, "x"), (1, "y")):
-            values = fill_masked(vec[comp]).astype(np.complex128)
-            out.field(f"gauge_{label}_{axis}.vxf", Field(grid=grid, values=values))
+def _write_flavor_fields(out: _Out, scenario: _Scenario):
+    for q, alpha in enumerate((2, 3)):
+        for comp, axis in enumerate("xy"):
+            values = scenario.a[q, comp].astype(np.complex128)
+            out.field(f"eff_a{alpha}_{axis}.vxf", Field(grid=scenario.grid, values=values))
+        values = scenario.w[q].astype(np.complex128)
+        out.field(f"eff_w{alpha}.vxf", Field(grid=scenario.grid, values=values))
 
 
 def _loading_rows(rows: list, branch: str, state: MatterState, step: int):
@@ -280,8 +266,6 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
                           phi2_0, phi3_0, n_steps: int, t0: float):
     """Drive the reduced run; returns (phi2, phi3, solver work)."""
     grid = scenario.grid
-    a_common = vortex_gauge_field(grid, cfg.p1.l)
-    zeros = np.zeros(grid.shape)
     snaps = _snapshot_steps(cfg, n_steps)
 
     def snapshot(i, p2, p3):
@@ -296,9 +280,9 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
     phi2, phi3 = evolve_two_flavor(
         phi2_0,
         phi3_0,
-        a_common,
-        zeros,
-        zeros,
+        scenario.a,
+        scenario.w[0],
+        scenario.w[1],
         scenario.rho,
         cfg.physics.u,
         cfg.run.dt,
@@ -316,7 +300,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
     branch unless it is full, and the comparisons of the two in compare mode."""
     mode = cfg.run.mode
     if mode != "full":
-        _require_degenerate(cfg)
+        _require_reducible(cfg)
     scenario = _build_scenario(cfg, grid)
     n_steps = hold_steps = cfg.run.n_steps
     ramp_steps = None
@@ -371,7 +355,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
         values["effective.krylov_steps"] = work.krylov_steps
         values["effective.matvecs"] = work.matvecs
         _winding_values(values, "effective", cfg, grid, phi2, phi3, loop)
-        _write_gauge_exports(out, grid, scenario.gauge)
+        _write_flavor_fields(out, scenario)
         out.field("eff_phi2_final.vxf", Field(grid=grid, values=phi2))
         out.field("eff_phi3_final.vxf", Field(grid=grid, values=phi3))
 
@@ -381,9 +365,12 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             rep = compare_states(full_fields[alpha], Field(grid=grid, values=phi), loops=(loop,))
             values[f"compare{alpha}.l2_error"] = rep.l2_error
             values[f"compare{alpha}.windings_agree"] = rep.windings_agree
-        for alpha, q in ((2, 1), (3, -1)):
-            phase = AnalyticPhase(q=q, l=cfg.p1.l, u=cfg.physics.u)
-            ana = analytic_state(phase, scenario.beams, scenario.rho, grid, state.t)
+        try:
+            analytic = analytic_state(scenario.beams, scenario.rho, cfg.physics.u, state.t)
+        except ValueError as exc:
+            values["analytic.skipped"] = str(exc)
+            analytic = ()
+        for alpha, ana in zip((2, 3), analytic):
             rep = compare_states(full_fields[alpha], ana, loops=(loop,))
             values[f"analytic{alpha}.l2_error"] = rep.l2_error
             values[f"analytic{alpha}.windings_agree"] = rep.windings_agree

@@ -1,7 +1,6 @@
 """Reduced two-flavor dynamics in the dark-state gauge background.
 
-Each flavor obeys, with its charge q (+1 for flavor 2, -1 for flavor 3)
-folding the common real gauge field into a_q = q*A,
+Each flavor q obeys, with its own real gauge field a_q,
 
     i d/dt phi = 1/2 (i grad + a_q)^2 phi + Veff phi + U rho phi
 
@@ -25,7 +24,7 @@ transform calls per application, a forward and an inverse per axis, each
 on the stacked pair of both flavors.
 
 The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
-field is static), so the propagator only lands where the state is observed:
+fields are static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
 Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
 propagated by a Chebyshev expansion of the operator exponential (Tal-Ezer &
@@ -90,13 +89,13 @@ def _require_finite(name: str, arr: np.ndarray):
         )
 
 
-def _as_real_vector(name: str, a, grid: SpectralGrid) -> np.ndarray:
+def _as_real_vectors(name: str, a, grid: SpectralGrid) -> np.ndarray:
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be a real vector field")
+        raise ValueError(f"{name} must be real vector fields")
     a = a.astype(float, copy=False)
-    if a.shape != (2,) + grid.shape:
-        raise ValueError(f"{name} must have shape (2, nx, ny)")
+    if a.shape != (2, 2) + grid.shape:
+        raise ValueError(f"{name} must have shape (2, 2, nx, ny)")
     _require_finite(name, a)
     return a
 
@@ -121,7 +120,7 @@ def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
 
 class _FlavorOperator:
     """Matvec of the expanded minimal-coupling Hamiltonian of both flavors,
-    stacked on the first axis, with the charges folded into ``aq``.
+    stacked on the first axis, each with its own gauge field in ``aq``.
 
     The cross term is applied in the symmetrized form i/2 (a.D + D.a): the
     spectral derivative D is exactly anti-self-adjoint and a is a real
@@ -301,8 +300,9 @@ def evolve_two_flavor(
 ):
     """Propagate both flavors for ``n_steps`` of ``dt``; returns new arrays.
 
-    ``a`` is the common real gauge field; flavor 2 sees ``+a``, flavor 3
-    ``-a``; a complex ``a`` raises ``ValueError``.
+    ``a`` stacks the real gauge fields of the two flavors, shape
+    (2, 2, nx, ny): flavor 2 sees ``a[0]``, flavor 3 ``a[1]``; a complex
+    ``a`` raises ``ValueError``.
     ``callback(step_index, phi2, phi3)``, if given, runs after
     ``step_index + 1`` steps for each count in ``observe``, and after the
     last step.  The propagator lands only on those steps: one Chebyshev
@@ -312,8 +312,9 @@ def evolve_two_flavor(
     ``1..n_steps`` raises ``ValueError``.  Pass a :class:`KrylovWork` as
     ``work`` to have the solver work added to it.
 
-    Raises :class:`~vxsim.errors.CoreSingularityError` if ``|A| > _A_MAX``
-    anywhere the background or flavor fields are non-negligible, and
+    Raises :class:`~vxsim.errors.CoreSingularityError` if a flavor's
+    ``|a_q| > _A_MAX`` anywhere the background or that flavor's field is
+    non-negligible, and
     :class:`~vxsim.errors.DivergenceError` if the evolution produces
     non-finite values or an observed state's flavor norm has moved by more
     than ``_NORM_TOL`` (the spectral bound was too low).
@@ -328,13 +329,13 @@ def evolve_two_flavor(
             raise ValueError(f"{name} must match the grid shape")
         _require_finite(name, np.asarray(arr))
 
-    a = _as_real_vector("a", a, grid)
-    _core_guard(a, rho, phi2)
-    _core_guard(a, rho, phi3)
+    a = _as_real_vectors("a", a, grid)
+    _core_guard(a[0], rho, phi2)
+    _core_guard(a[1], rho, phi3)
 
     mf = u * rho
     local = np.stack([np.asarray(veff2, dtype=float) + mf, np.asarray(veff3, dtype=float) + mf])
-    op = _FlavorOperator(grid, np.stack([a, -a]), local)
+    op = _FlavorOperator(grid, a, local)
     if work is None:
         work = KrylovWork()
     lo, hi = _spectral_bounds(op, local, work)

@@ -91,6 +91,12 @@ def test_circulation_quantization_both_sims(compare_l1, compare_l2):
                 want = sign * 2.0 * math.pi * l
                 _check(failures, abs(circ - want) <= 1e-3,
                        f"l={l}: {branch} circulation{alpha} = {circ}")
+        # the reduced branch tracks the full one, not just its windings
+        for alpha in (2, 3):
+            l2 = v[f"compare{alpha}.l2_error"]
+            _check(failures, l2 < 5e-2, f"l={l}: compare{alpha} L2 error {l2:.4e}")
+            _check(failures, v[f"compare{alpha}.windings_agree"],
+                   f"l={l}: compare{alpha} winding mismatch")
     _verdict("criterion 1 circulation quantization", failures)
 
 
@@ -164,7 +170,7 @@ def _constant_gauge_error():
     z = np.zeros(grid.shape)
     a0 = 0.7
     a = np.stack([a0 * np.ones(grid.shape), z])
-    p2, p3 = evolve_two_flavor(psi0.copy(), psi0.copy(), a, z, z, z, 0.0,
+    p2, p3 = evolve_two_flavor(psi0.copy(), psi0.copy(), np.stack([a, -a]), z, z, z, 0.0,
                                0.0125, 20, grid)
     spec = fft2(psi0)
     kx = grid.kx_grad[:, None]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from vxsim.beams import BeamSet, lg_beams
+from vxsim.beams import BeamSet, lg_beams, xi_ratios
 from vxsim.diagnostics import (
-    AnalyticPhase,
     LoopSpec,
     analytic_state,
     circulation,
@@ -79,36 +78,40 @@ def test_loop_spec_validation(grid64, vortex_field):
 def test_analytic_state_windings_and_conjugacy(weak_beams64, grid64):
     rho = np.exp(-grid64.r_map**2 / 18.0)
     loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
-    plus = analytic_state(AnalyticPhase(q=1, l=1), weak_beams64, rho, grid64, t=0.0)
-    minus = analytic_state(AnalyticPhase(q=-1, l=1), weak_beams64, rho, grid64, t=0.0)
+    plus, minus = analytic_state(weak_beams64, rho, 0.0, t=0.0)
     assert winding(plus, loop).value == 1
     assert winding(minus, loop).value == -1
     # equal ratio moduli: the two flavors are exact conjugates at t = 0
     np.testing.assert_allclose(minus.values, np.conj(plus.values), atol=1e-15)
-    # amplitude is -|xi| sqrt(rho)
-    assert np.all(np.real(plus.values * np.exp(-1j * grid64.phi_map)) <= 1e-12)
+    # each flavor is its own ratio times -sqrt(rho)
+    xi1, xi2 = xi_ratios(weak_beams64)
+    np.testing.assert_array_equal(plus.values, -xi1 * np.sqrt(rho))
+    np.testing.assert_array_equal(minus.values, -xi2 * np.sqrt(rho))
+
+
+def test_analytic_state_follows_each_ratio(grid64):
+    # a non-opposite, unequal pair: each flavor winds with its own probe
+    beams = lg_beams(grid64, l1=1, l2=2, probe_peak=0.3, probe_waist=2.0,
+                     control_peak=10.0, control_waist=6.0)
+    rho = np.exp(-grid64.r_map**2 / 18.0)
+    loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
+    phi2, phi3 = analytic_state(beams, rho, 0.0, t=0.0)
+    assert (winding(phi2, loop).value, winding(phi3, loop).value) == (1, 2)
 
 
 def test_analytic_state_dynamical_phase(weak_beams64, grid64):
     rho = np.exp(-grid64.r_map**2 / 18.0)
-    veff = 0.2 * np.exp(-grid64.r_map**2 / 8.0)
     u = 0.4
-    base = analytic_state(AnalyticPhase(q=1, l=2), weak_beams64, rho, grid64, t=0.0)
-    spec = AnalyticPhase(q=1, l=2, u=u, veff=veff)
-    later = analytic_state(spec, weak_beams64, rho, grid64, t=1.7)
-    expected = base.values * np.exp(-1.7j * (veff + u * rho))
-    np.testing.assert_allclose(later.values, expected, atol=1e-14)
-    # without the mean-field term the phase is -t*Veff alone
-    no_mf = analytic_state(
-        AnalyticPhase(q=1, l=2, u=0.0, veff=veff), weak_beams64, rho, grid64, t=1.7,
-    )
-    np.testing.assert_allclose(no_mf.values, base.values * np.exp(-1.7j * veff), atol=1e-14)
+    base = analytic_state(weak_beams64, rho, u, t=0.0)
+    later = analytic_state(weak_beams64, rho, u, t=1.7)
+    for b, l in zip(base, later):
+        np.testing.assert_allclose(l.values, b.values * np.exp(-1.7j * u * rho), atol=1e-14)
 
 
 def test_analytic_state_static_when_unforced(weak_beams64, grid64):
     rho = np.exp(-grid64.r_map**2 / 18.0)
-    a = analytic_state(AnalyticPhase(q=1, l=1, u=0.0), weak_beams64, rho, grid64, t=0.0)
-    b = analytic_state(AnalyticPhase(q=1, l=1, u=0.0), weak_beams64, rho, grid64, t=9.0)
+    a, _ = analytic_state(weak_beams64, rho, 0.0, t=0.0)
+    b, _ = analytic_state(weak_beams64, rho, 0.0, t=9.0)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -120,12 +123,7 @@ def test_analytic_state_rejects_tilts(grid64):
     )
     rho = np.ones(grid64.shape)
     with pytest.raises(ValueError, match="tilt"):
-        analytic_state(AnalyticPhase(q=1, l=1), tilted, rho, grid64, t=0.0)
-
-
-def test_analytic_phase_charge_validation():
-    with pytest.raises(ValueError, match="charge"):
-        AnalyticPhase(q=2, l=1)
+        analytic_state(tilted, rho, 0.0, t=0.0)
 
 
 # --- state comparison ------------------------------------------------------

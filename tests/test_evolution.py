@@ -351,7 +351,7 @@ def test_drivers_share_the_observation_schedule(weak_beams64, grid64):
 
     def hold(observe):
         seen = []
-        evolve_two_flavor(psi, psi, np.zeros((2,) + grid64.shape), z, z, z, 0.0, 0.004, n,
+        evolve_two_flavor(psi, psi, np.zeros((2, 2) + grid64.shape), z, z, z, 0.0, 0.004, n,
                           grid64, callback=lambda i, p2, p3: seen.append(i), observe=observe)
         return seen
 

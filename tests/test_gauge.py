@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vxsim.beams import lg_beams, xi_ratios
 from vxsim.diagnostics import LoopSpec, loop_integral
 from vxsim.errors import MaskError, TrapSolveError
+from vxsim.evolution import qp_cancel_potential, thomas_fermi_density
 from vxsim.gauge import (
     _vector_gradient,
     effective_potentials,
     fill_masked,
+    flavor_fields,
     gauge_potentials,
     solve_traps,
     vortex_gauge_field,
@@ -144,6 +148,54 @@ def test_degenerate_ratios_collapse(weak_beams64, grid64):
     assert np.max(np.abs(vec_mag(g.a3)[inner] * grid64.r_map[inner] - 1.0)) < 1e-4
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_flavor_fields_of_the_degenerate_pair(grid128, l):
+    """The conjugate pair xi2 = conj(xi1) gets exactly conjugate gradients,
+    so J2 = -J1: the paper's A1 = 0 and A2 + A3 = 0 hold exactly, and so do
+    a3 = -a2 and W3 = W2.  Flavor 2's field is the pure vortex field
+    l grad(phi), with no core cut out.  Measured at 128^2 (l = 1 / 2): where
+    xi1 clears the floor the |xi1|-weighted deviation is 9.0e-6 / 7.3e-5 of
+    its peak, and inside the Thomas-Fermi radius the deviation is 1.8e-6 of
+    the peak of l/r; zeroing the 2*max(dx, dy) core disc, as
+    gauge_potentials masks, reads 1.0 / 0.27 and 1.0."""
+    beams = lg_beams(grid128, l, -l, 0.8, 2.0, 12.0, 6.0)
+    xi1, xi2 = xi_ratios(beams)
+    assert np.array_equal(xi2, np.conj(xi1))
+    g = gauge_potentials(xi1, xi2, grid128)
+    assert np.nanmax(np.abs(g.a1)) == 0.0
+    assert np.nanmax(np.abs(g.a2 + g.a3)) == 0.0
+
+    rho = thomas_fermi_density(grid128, 1.0, 5.0, 0.05)
+    a, w = flavor_fields(xi1, xi2, rho, grid128)
+    assert a.shape == (2, 2) + grid128.shape and w.shape == (2,) + grid128.shape
+    assert np.array_equal(a[1], -a[0])
+    assert np.array_equal(w[1], w[0])
+    np.testing.assert_array_equal(w[0], qp_cancel_potential(grid128, np.abs(xi1) ** 2 * rho))
+
+    m = np.abs(xi1)
+    live = m > 1e-6 * m.max()
+    assert not a[:, :, ~live].any()
+    vg = vortex_gauge_field(grid128, l)
+    err = vec_mag(a[0] - vg)
+    weighted = (m * err)[live].max() / (m * vec_mag(vg))[live].max()
+    assert weighted < 1e-4
+    bulk = live & (grid128.r_map < 5.0)
+    assert err[bulk].max() < 1e-5 * vec_mag(vg)[live].max()
+
+
+def test_flavor_fields_follow_each_probe(grid64):
+    # unequal peaks, l = (1, -2) and a tilted control: each flavor's field
+    # circulates 2 pi times its own probe's charge
+    beams = lg_beams(grid64, l1=1, l2=-2, probe_peak=0.3, probe_waist=2.0,
+                     control_peak=10.0, control_waist=6.0, kc2=(-0.2, 0.0))
+    beams = replace(beams, p2=0.6 * beams.p2)
+    xi1, xi2 = xi_ratios(beams)
+    a, _ = flavor_fields(xi1, xi2, np.ones(grid64.shape), grid64)
+    loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
+    for q, l in ((0, 1), (1, -2)):
+        assert loop_integral(a[q], grid64, loop) == pytest.approx(2.0 * np.pi * l, rel=1e-3)
+
+
 def test_gauge_flux_quantized(weak_beams64, grid64):
     xi1, xi2 = xi_ratios(weak_beams64)
     g = gauge_potentials(xi1, xi2, grid64)
@@ -168,6 +220,9 @@ def test_mask_error_when_nothing_survives(grid128, synthetic_ring_ratios):
     _, _, xi1, xi2 = synthetic_ring_ratios
     with pytest.raises(MaskError, match="no evaluable points"):
         gauge_potentials(np.zeros_like(xi1), xi2, grid128)
+    rho = np.ones(grid128.shape)
+    with pytest.raises(MaskError, match="no evaluable points: ratio xi2"):
+        flavor_fields(xi1, np.zeros_like(xi2), rho, grid128)
 
 
 def test_shape_validation(grid128):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vxsim.evolution as evolution
+import vxsim.gauge as gauge
 import vxsim.runner as runner
 import vxsim.two_flavor as two_flavor
 from vxsim.config import MODES, TRAP_MODES, parse_config
@@ -181,7 +182,8 @@ run.ramp_time = 6.0
 
 
 def _raise_if_called(*args, **kwargs):
-    raise AssertionError("a full run needs no trap solve or gauge data")
+    raise AssertionError("no run needs the trap solve, the paper's potentials or the "
+                         "hand-made vortex field, and a full run needs no ratio fields")
 
 
 @pytest.mark.parametrize("probes, l, stubbed", [
@@ -192,13 +194,20 @@ def _raise_if_called(*args, **kwargs):
 def test_non_degenerate_full_runs_load(tmp_path, monkeypatch, probes, l, stubbed):
     # engineered traps are V1 alone, so an unequal or non-opposite probe pair
     # loads both flavors with the windings its probes carry
-    if stubbed:
-        for name in ("xi_ratios", "gauge_potentials", "solve_traps"):
-            monkeypatch.setattr(runner, name, _raise_if_called)
     text = NONDEGENERATE + "".join(
         f"beam.{name}.peak = {peak}\nbeam.{name}.l = {charge}\n"
         for name, peak, charge in zip(("p1", "p2"), probes, l)
     )
+    if stubbed:
+        # the reduced branch builds its fields from the ratios alone
+        for module, name in ((runner, "gauge_potentials"), (gauge, "gauge_potentials"),
+                             (gauge, "vortex_gauge_field"), (runner, "solve_traps")):
+            monkeypatch.setattr(module, name, _raise_if_called)
+        held = run(parse_config(text.replace("run.mode = full", "run.mode = effective")),
+                   out_dir=tmp_path / "held")
+        assert held.exit_code == 0, held.values.get("error")
+        assert (held.values["effective.winding2"], held.values["effective.winding3"]) == l
+        monkeypatch.setattr(runner, "xi_ratios", _raise_if_called)
     rep = run(parse_config(text), out_dir=tmp_path / "out")
     assert rep.exit_code == 0, rep.values.get("error")
     values = rep.values
@@ -207,6 +216,53 @@ def test_non_degenerate_full_runs_load(tmp_path, monkeypatch, probes, l, stubbed
     assert values["full.dark_state_error"] < 1e-2
     assert values["full.p4"] + values["full.p5"] < 1e-4
     assert "trap_residual" not in values
+
+
+PAIR = """
+grid.nx = 64
+grid.ny = 64
+beam.p1.peak = 0.8
+beam.c1.peak = 12.0
+beam.c2.peak = 12.0
+physics.u = 0.02
+run.mode = compare
+run.dt = 0.016
+run.n_steps = 500
+run.ramp_time = 6.0
+"""
+
+
+@pytest.mark.parametrize("pair, tilted", [
+    pytest.param("beam.p2.peak = 0.8\nbeam.p2.l = -1\n", False, id="degenerate"),
+    pytest.param("beam.p2.peak = 0.6\nbeam.p2.l = -1\n", False, id="p2-peak-0.6"),
+    pytest.param("beam.p2.peak = 0.8\nbeam.p2.l = -2\n", False, id="l=1,-2"),
+    pytest.param("beam.p2.peak = 0.8\nbeam.p2.l = -1\nbeam.c2.kx = -0.2\n", True,
+                 id="c2-tilted"),
+])
+def test_reduced_branch_tracks_any_pair(tmp_path, pair, tilted):
+    # each flavor sees its own ratio's phase gradient and geometric scalar
+    # potential, so the reduced branch follows the full one for any pair
+    cfg = parse_config(PAIR + pair)
+    rep = run(cfg, out_dir=tmp_path / "out")
+    assert rep.exit_code == 0, rep.values.get("error")
+    values = rep.values
+    assert (values["effective.winding2"], values["effective.winding3"]) == (cfg.p1.l, cfg.p2.l)
+    for alpha in (2, 3):
+        assert values[f"compare{alpha}.l2_error"] < 5e-2
+        assert values[f"compare{alpha}.windings_agree"]
+    # the analytic reference needs untilted beams; a tilted run says why it
+    # has none
+    if tilted:
+        assert "tilts" in values["analytic.skipped"]
+        assert "analytic2.l2_error" not in values
+    else:
+        assert "analytic.skipped" not in values
+        assert max(values["analytic2.l2_error"], values["analytic3.l2_error"]) < 5e-2
+    names = {path.name for path in rep.artifacts}
+    exports = {"eff_a2_x.vxf", "eff_a2_y.vxf", "eff_w2.vxf",
+               "eff_a3_x.vxf", "eff_a3_y.vxf", "eff_w3.vxf"}
+    assert exports <= names
+    assert not any(name.startswith("gauge_") for name in names)
 
 
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
@@ -227,6 +283,10 @@ SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
                  "ratio_max", id="strong-probes"),
     pytest.param(SHORT + "beam.p1.peak = 0\nrun.mode = outcouple\n",
                  "out-couple", id="outcouple-zero-probe"),
+    pytest.param(SHORT + "beams.eps12 = 0.1\nrun.mode = effective\n",
+                 "two-photon detunings beams.eps12", id="detuned-effective"),
+    pytest.param(SHORT + "physics.traps = none\nrun.mode = compare\n",
+                 "physics.traps = engineered", id="untrapped-compare"),
 ])
 def test_setup_failures_are_exit_2(tmp_path, text, cause):
     rep = run(parse_config(text), out_dir=tmp_path / "out")

@@ -20,16 +20,24 @@ def grid32():
 
 @pytest.fixture(scope="module")
 def vortex_background(grid64):
-    """Charge +1 ring seed, its gauge field, and smooth background fields."""
+    """Charge +1 ring seed, the gauge fields of it (flavor 2) and of its
+    conjugate (flavor 3), and smooth background fields."""
     f = (grid64.r_map / 1.5) * np.exp(-((grid64.r_map / 1.5) ** 2))
     seed = f * np.exp(1j * grid64.phi_map)
     veff = 0.3 * np.exp(-grid64.r_map**2 / 8.0)
     rho = np.exp(-grid64.r_map**2 / 18.0)
-    return seed, vortex_gauge_field(grid64, 1), veff, rho
+    vg = vortex_gauge_field(grid64, 1)
+    return seed, np.stack([vg, -vg]), veff, rho
 
 
 def zeros2(grid):
-    return np.zeros((2,) + grid.shape)
+    return np.zeros((2, 2) + grid.shape)
+
+
+def uniform_fields(grid, a2, a3):
+    """Per-flavor uniform gauge fields (a2, 0) and (a3, 0)."""
+    z = np.zeros(grid.shape)
+    return np.stack([np.stack([a * np.ones(grid.shape), z]) for a in (a2, a3)])
 
 
 def kspace_propagator(grid, a0, t, sign):
@@ -49,16 +57,16 @@ def test_free_evolution_matches_spectral(grid64):
 
 
 def test_constant_gauge_field_exact(grid64):
-    """A uniform A = (a0, 0) only shifts the kinetic parabola: flavor 2 sees
-    (kx - a0)^2 and flavor 3 (kx + a0)^2, both diagonal in k space."""
+    """Uniform fields (a2, 0) and (a3, 0) only shift each flavor's kinetic
+    parabola: flavor 2 sees (kx - a2)^2 and flavor 3 (kx - a3)^2, both
+    diagonal in k space; each flavor sees its own field alone."""
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid64.shape)
-    a0 = 0.7
-    a = np.stack([a0 * np.ones(grid64.shape), np.zeros(grid64.shape)])
+    a = uniform_fields(grid64, 0.7, -0.3)
     p2, p3 = evolve_two_flavor(psi0, psi0, a, z, z, z, 0.0, 0.0125, 20, grid64)
     spec = fft2(psi0)
-    ex2 = ifft2(kspace_propagator(grid64, a0, 0.25, -1) * spec)
-    ex3 = ifft2(kspace_propagator(grid64, a0, 0.25, +1) * spec)
+    ex2 = ifft2(kspace_propagator(grid64, 0.7, 0.25, -1) * spec)
+    ex3 = ifft2(kspace_propagator(grid64, -0.3, 0.25, -1) * spec)
     assert np.abs(p2 - ex2).max() < 1e-12
     assert np.abs(p3 - ex3).max() < 1e-12
 
@@ -67,26 +75,26 @@ def test_time_reversal_pairing(grid64, vortex_background):
     """H(-A) = conj(H(+A)) holds exactly on the grid, so conjugating a
     forward-evolved flavor-2 state and running it as flavor 3 (which sees
     -A) rewinds it to the conjugate initial state."""
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     none = np.zeros_like(seed)
-    fwd, _ = evolve_two_flavor(seed, none, vg, veff, veff, rho, 0.5, 0.01, 30, grid64)
-    _, back = evolve_two_flavor(none, np.conj(fwd), vg, veff, veff, rho, 0.5, 0.01, 30, grid64)
+    fwd, _ = evolve_two_flavor(seed, none, aq, veff, veff, rho, 0.5, 0.01, 30, grid64)
+    _, back = evolve_two_flavor(none, np.conj(fwd), aq, veff, veff, rho, 0.5, 0.01, 30, grid64)
     assert np.abs(back - np.conj(seed)).max() < 1e-12
 
 
 def test_winding_preserved(grid64, vortex_background):
-    seed, vg, _, _ = vortex_background
+    seed, aq, _, _ = vortex_background
     z = np.zeros(grid64.shape)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), vg, z, z, z, 0.0, 0.01, 50, grid64)
+    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, z, z, z, 0.0, 0.01, 50, grid64)
     loop = LoopSpec(center=(0.0, 0.0), radius=2.0)
     assert winding(Field(grid64, p2), loop).value == 1
     assert winding(Field(grid64, p3), loop).value == -1
 
 
 def test_norm_conserved(grid64, vortex_background):
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     n0 = np.linalg.norm(seed)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64)
+    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
     assert abs(np.linalg.norm(p2) - n0) / n0 < 1e-12
     assert abs(np.linalg.norm(p3) - n0) / n0 < 1e-12
 
@@ -97,7 +105,7 @@ def test_big_step_subdivides_not_degrades(grid32):
     psi0 = np.exp(-(grid32.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid32.shape)
     a0 = 0.7
-    a = np.stack([a0 * np.ones(grid32.shape), np.zeros(grid32.shape)])
+    a = uniform_fields(grid32, a0, -a0)
     p2, _ = evolve_two_flavor(psi0, psi0, a, z, z, z, 0.0, 2.0, 1, grid32)
     ex = ifft2(kspace_propagator(grid32, a0, 2.0, -1) * fft2(psi0))
     assert np.abs(p2 - ex).max() < 1e-12
@@ -113,21 +121,36 @@ def test_zero_field_stays_zero(grid32):
 def test_core_guard_raises_on_live_fields(grid32):
     z = np.zeros(grid32.shape)
     ones = np.ones(grid32.shape, dtype=complex)
-    hot = np.stack([1e4 * np.ones(grid32.shape), z])
+    hot = uniform_fields(grid32, 1e4, 0.0)
     with pytest.raises(CoreSingularityError, match="refine the grid"):
         evolve_two_flavor(ones, ones, hot, z, z, np.ones(grid32.shape), 0.0, 0.01, 1, grid32)
+
+
+def test_core_guard_is_per_flavor(grid32):
+    # flavor 3's field is hot where its own state and the background vanish;
+    # flavor 2's live state there does not matter, as it sees no hot field
+    ring = grid32.r_map > 6.0
+    a = uniform_fields(grid32, 0.0, 0.0)
+    a[1, 0, ring] = 1e4
+    rho = np.exp(-(grid32.r_map**2))
+    phi2 = np.ones(grid32.shape, dtype=complex)
+    phi3 = np.where(ring, 0.0, rho).astype(complex)
+    z = np.zeros(grid32.shape)
+    evolve_two_flavor(phi2, phi3, a, z, z, rho, 0.0, 1e-6, 1, grid32)
+    with pytest.raises(CoreSingularityError, match="refine the grid"):
+        evolve_two_flavor(phi3, phi2, a, z, z, rho, 0.0, 1e-6, 1, grid32)
 
 
 def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
     # |A| exceeds the bound next to the axis, but both the background and
     # the flavor fields are exactly zero there
     monkeypatch.setattr(two_flavor, "_A_MAX", 3.9)
-    seed, vg, _, rho = vortex_background
+    seed, aq, _, rho = vortex_background
     void = grid64.r_map < 0.5
     seed = np.where(void, 0.0, seed)
     rho = np.where(void, 0.0, rho)
     z = np.zeros(grid64.shape)
-    evolve_two_flavor(seed, np.conj(seed), vg, z, z, rho, 0.3, 0.01, 2, grid64)
+    evolve_two_flavor(seed, np.conj(seed), aq, z, z, rho, 0.3, 0.01, 2, grid64)
 
 
 def test_nan_inputs_rejected(grid32):
@@ -144,8 +167,8 @@ def test_argument_validation(grid32):
     psi = np.ones(grid32.shape, dtype=complex)
     with pytest.raises(ValueError, match="grid shape"):
         evolve_two_flavor(psi[:4], psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32)
-    with pytest.raises(ValueError, match=r"\(2, nx, ny\)"):
-        evolve_two_flavor(psi, psi, z, z, z, z, 0.0, 0.01, 1, grid32)
+    with pytest.raises(ValueError, match=r"\(2, 2, nx, ny\)"):
+        evolve_two_flavor(psi, psi, zeros2(grid32)[0], z, z, z, 0.0, 0.01, 1, grid32)
     # complex gauge fields are rejected even with a zero imaginary part
     for a in (zeros2(grid32) + 0.1j, zeros2(grid32).astype(complex)):
         with pytest.raises(ValueError, match="real vector field"):
@@ -170,10 +193,10 @@ def test_callback_sequence(grid32):
 
 def _every_step(grid, background, n_steps, work=None):
     """Reference path: a callback at every step pins an advance to each dt."""
-    seed, vg, veff, rho = background
+    seed, aq, veff, rho = background
     seen = []
     out = evolve_two_flavor(
-        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, n_steps, grid,
+        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, n_steps, grid,
         callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
         observe=range(1, n_steps + 1), work=work,
     )
@@ -181,19 +204,19 @@ def _every_step(grid, background, n_steps, work=None):
 
 
 def test_one_advance_matches_every_step(grid64, vortex_background):
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     (ref2, ref3), _ = _every_step(grid64, vortex_background, 100)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64)
+    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
     assert np.abs(p2 - ref2).max() < 1e-12
     assert np.abs(p3 - ref3).max() < 1e-12
 
 
 def test_callback_every_fires_on_its_steps(grid64, vortex_background):
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     _, ref = _every_step(grid64, vortex_background, 23)
     seen = []
     evolve_two_flavor(
-        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 23, grid64,
+        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 23, grid64,
         callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
         observe=range(5, 24, 5),
     )
@@ -205,12 +228,12 @@ def test_callback_every_fires_on_its_steps(grid64, vortex_background):
 
 
 def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     stepped = KrylovWork()
     _every_step(grid64, vortex_background, 100, work=stepped)
     held = KrylovWork()
     evolve_two_flavor(
-        seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
+        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
     )
     # one recurrence per group of up to four observed steps, for both
     # flavors at once
@@ -226,12 +249,12 @@ def _terms(z):
 
 
 def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_background):
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     dt, ends = 0.01, list(range(5, 41, 5))
     work = KrylovWork()
     seen = []
     evolve_two_flavor(
-        seed, np.conj(seed), vg, veff, veff, rho, 0.5, dt, 40, grid64,
+        seed, np.conj(seed), aq, veff, veff, rho, 0.5, dt, 40, grid64,
         callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
         observe=ends, work=work,
     )
@@ -239,7 +262,7 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     # reference: a chain of calls that each advance one stretch
     p2, p3 = seed, np.conj(seed)
     for _, s2, s3 in seen:
-        p2, p3 = evolve_two_flavor(p2, p3, vg, veff, veff, rho, 0.5, dt, 5, grid64)
+        p2, p3 = evolve_two_flavor(p2, p3, aq, veff, veff, rho, 0.5, dt, 5, grid64)
         peak = max(np.abs(p2).max(), np.abs(p3).max())
         assert np.abs(s2 - p2).max() <= 1e-12 * peak
         assert np.abs(s3 - p3).max() <= 1e-12 * peak
@@ -247,7 +270,7 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     # two groups of four observed steps, 20 steps each; a group's one
     # recurrence is as long as its last time needs
     local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    op = two_flavor._FlavorOperator(grid64, aq, local)
     lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
     group_terms = _terms(0.5 * (hi - lo) * 20 * dt)
     assert work.matvecs == two_flavor._BOUND_STEPS + 2 * (group_terms - 1)
@@ -259,14 +282,14 @@ def test_grouping_bounds_memory(grid64, vortex_background):
     # recurrence ends: a group of four holds three states more than one
     # unobserved stretch, where one recurrence over all 25 steps would hold
     # 24 more
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     seed3 = np.conj(seed)
     state = seed.nbytes + seed3.nbytes
 
     def peak(observe):
         tracemalloc.start()
         try:
-            evolve_two_flavor(seed, seed3, vg, veff, veff, rho, 0.5, 0.01, 25, grid64,
+            evolve_two_flavor(seed, seed3, aq, veff, veff, rho, 0.5, 0.01, 25, grid64,
                               observe=observe)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -285,9 +308,9 @@ def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
         return lo, 0.8 * hi
 
     monkeypatch.setattr(two_flavor, "_spectral_bounds", low)
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     with pytest.raises(DivergenceError, match="spectral bound"):
-        evolve_two_flavor(seed, np.conj(seed), vg, veff, veff, rho, 0.5, 0.01, 100, grid64)
+        evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
 
 
 def test_spectral_bounds_enclose_exact_spectrum(grid64):
@@ -330,9 +353,9 @@ def test_eigh_tridiagonal_matches_scipy():
 def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background, monkeypatch):
     from scipy.linalg import eigh_tridiagonal
 
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    op = two_flavor._FlavorOperator(grid64, aq, local)
     lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
     monkeypatch.setattr(two_flavor, "eigh_tridiagonal", eigh_tridiagonal)
     ref_lo, ref_hi = two_flavor._spectral_bounds(op, local, KrylovWork())
@@ -410,9 +433,9 @@ def test_operator_is_hermitian_on_the_grid(grid64):
 def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_background):
     # the recurrence works in its own vectors: a state it has yielded, and
     # the vector it started from, keep their values while it runs on
-    seed, vg, veff, rho = vortex_background
+    seed, aq, veff, rho = vortex_background
     local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, np.stack([vg, -vg]), local)
+    op = two_flavor._FlavorOperator(grid64, aq, local)
     lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
     phi = np.stack([seed, np.conj(seed)])
     start = phi.copy()
