@@ -97,7 +97,6 @@ class _Scenario:
     grid: SpectralGrid
     beams: BeamSet
     rho: np.ndarray
-    traps: np.ndarray
     # the reduced branch's dark-state ratios and the fields each flavor
     # sees: gauge fields (2, 2, nx, ny) and scalar potentials (2, nx, ny)
     xi: tuple[np.ndarray, np.ndarray] | None = None
@@ -136,10 +135,7 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
-    scenario = _Scenario(grid=grid, beams=beams, rho=rho, traps=np.zeros((5,) + grid.shape))
-    if cfg.physics.traps == "engineered":
-        # V1 holds the background; the slaved levels need no trap of their own
-        scenario.traps[0] = qp_cancel_potential(grid, rho)
+    scenario = _Scenario(grid=grid, beams=beams, rho=rho)
     # the reduced branch's seed and fields; reduced modes are engineered
     if cfg.run.mode != "full":
         scenario.xi = xi_ratios(beams)
@@ -218,7 +214,11 @@ def _snapshot_steps(cfg: SimConfig, n_steps: int) -> range:
 def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
                      n_steps: int, capture_at: int | None = None):
     """Drive the five-field run; returns (final_state, captured_state, result)."""
-    state = initial_state(scenario.grid, scenario.rho, scenario.traps, cfg.physics.u)
+    traps = np.zeros((5,) + scenario.grid.shape)
+    if cfg.physics.traps == "engineered":
+        # V1 holds the background; the slaved levels need no trap of their own
+        traps[0] = qp_cancel_potential(scenario.grid, scenario.rho)
+    state = initial_state(scenario.grid, scenario.rho, traps, cfg.physics.u)
     snaps = _snapshot_steps(cfg, n_steps)
     captured = {}
 
@@ -248,8 +248,9 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
 
 
 def _winding_values(values: dict, prefix: str, cfg: SimConfig, grid: SpectralGrid,
-                    phi2, phi3, loop: LoopSpec):
-    for alpha, phi, probe in ((2, phi2, cfg.p1), (3, phi3, cfg.p2)):
+                    flavors: np.ndarray, loop: LoopSpec):
+    """Winding keys of the stacked flavor pair ``flavors`` (2, nx, ny)."""
+    for alpha, phi, probe in zip((2, 3), flavors, (cfg.p1, cfg.p2)):
         fld = Field(grid=grid, values=phi)
         w = winding(fld, loop)
         values[f"{prefix}.winding{alpha}"] = w.value
@@ -263,36 +264,24 @@ def _drift_ok(drift: float, n_steps: int) -> bool:
 
 
 def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
-                          phi2_0, phi3_0, n_steps: int, t0: float):
-    """Drive the reduced run; returns (phi2, phi3, solver work)."""
+                          seed: np.ndarray, n_steps: int, t0: float):
+    """Drive the reduced run from the stacked ``seed``; returns (phi, solver work)."""
     grid = scenario.grid
     snaps = _snapshot_steps(cfg, n_steps)
 
-    def snapshot(i, p2, p3):
+    def snapshot(i, phi):
         # runs on the snapshot steps and the last step
         rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
-                     *([float("nan")] * 5), Field(grid, p2).norm(), Field(grid, p3).norm()))
+                     *([float("nan")] * 5), *(Field(grid, p).norm() for p in phi)))
         if i + 1 in snaps:
-            out.field(f"eff_phi2_{i + 1:05d}.vxf", Field(grid=grid, values=p2))
-            out.field(f"eff_phi3_{i + 1:05d}.vxf", Field(grid=grid, values=p3))
+            for alpha, p in zip((2, 3), phi):
+                out.field(f"eff_phi{alpha}_{i + 1:05d}.vxf", Field(grid=grid, values=p))
 
     work = KrylovWork()
-    phi2, phi3 = evolve_two_flavor(
-        phi2_0,
-        phi3_0,
-        scenario.a,
-        scenario.w[0],
-        scenario.w[1],
-        scenario.rho,
-        cfg.physics.u,
-        cfg.run.dt,
-        n_steps,
-        grid,
-        callback=snapshot,
-        observe=snaps,
-        work=work,
-    )
-    return phi2, phi3, work
+    phi = evolve_two_flavor(seed, scenario.a, scenario.w, scenario.rho, cfg.physics.u,
+                            cfg.run.dt, n_steps, grid, callback=snapshot, observe=snaps,
+                            work=work)
+    return phi, work
 
 
 def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
@@ -328,7 +317,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
         values["full.p5"] = result.p5
         values["full.norm_drift"] = result.norm_drift
         values["full.series_terms"] = result.series_terms
-        _winding_values(values, "full", cfg, grid, state.phi[1], state.phi[2], loop)
+        _winding_values(values, "full", cfg, grid, state.phi[1:3], loop)
         gates.append((result.norm_drift, n_steps))
         for alpha in (1, 2, 3):
             out.field(f"phi{alpha}_final.vxf", Field(grid=grid, values=state.phi[alpha - 1]))
@@ -340,29 +329,29 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             background, t0 = at_ramp_end.phi[0], at_ramp_end.t
         else:
             background, t0 = np.sqrt(scenario.rho), 0.0
-        xi1, xi2 = scenario.xi
-        phi2_0, phi3_0 = -xi1 * background, -xi2 * background
-        phi2, phi3, work = phi2_0, phi3_0, KrylovWork()
+        phi = np.stack(scenario.xi)
+        np.negative(phi, out=phi)
+        phi *= background
+        # the drift gate keeps only the seed's norms
+        norms_0 = [Field(grid, p).norm() for p in phi]
+        work = KrylovWork()
         if hold_steps > 0:
-            phi2, phi3, work = _run_effective_branch(
-                cfg, scenario, out, rows, phi2_0, phi3_0, hold_steps, t0
-            )
-        for alpha, phi, phi_0 in ((2, phi2, phi2_0), (3, phi3, phi3_0)):
-            n_0 = Field(grid, phi_0).norm()
-            drift = abs(Field(grid, phi).norm() - n_0) / n_0
+            phi, work = _run_effective_branch(cfg, scenario, out, rows, phi, hold_steps, t0)
+        for alpha, p, n_0 in zip((2, 3), phi, norms_0):
+            drift = abs(Field(grid, p).norm() - n_0) / n_0
             values[f"effective.norm_drift{alpha}"] = drift
             gates.append((drift, hold_steps))
         values["effective.krylov_steps"] = work.krylov_steps
         values["effective.matvecs"] = work.matvecs
-        _winding_values(values, "effective", cfg, grid, phi2, phi3, loop)
+        _winding_values(values, "effective", cfg, grid, phi, loop)
         _write_flavor_fields(out, scenario)
-        out.field("eff_phi2_final.vxf", Field(grid=grid, values=phi2))
-        out.field("eff_phi3_final.vxf", Field(grid=grid, values=phi3))
+        for alpha, p in zip((2, 3), phi):
+            out.field(f"eff_phi{alpha}_final.vxf", Field(grid=grid, values=p))
 
     if mode == "compare":
         full_fields = {alpha: Field(grid=grid, values=state.phi[alpha - 1]) for alpha in (2, 3)}
-        for alpha, phi in ((2, phi2), (3, phi3)):
-            rep = compare_states(full_fields[alpha], Field(grid=grid, values=phi), loops=(loop,))
+        for alpha, p in zip((2, 3), phi):
+            rep = compare_states(full_fields[alpha], Field(grid=grid, values=p), loops=(loop,))
             values[f"compare{alpha}.l2_error"] = rep.l2_error
             values[f"compare{alpha}.windings_agree"] = rep.windings_agree
         try:

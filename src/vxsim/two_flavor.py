@@ -28,16 +28,17 @@ fields are static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
 Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
 propagated by a Chebyshev expansion of the operator exponential (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81 (1984) 3967): three vectors, no
+Kosloff, J. Chem. Phys. 81 (1984) 3967): two vectors updated in place, no
 reorthogonalization and no step control.  Its vectors do not depend on the
 time, so one recurrence serves up to ``_GROUP`` consecutive observed steps,
 each summed into its own accumulator; the next group starts from the last
 state of the one before.  The expansion needs the spectrum's bounds, found
 once per call: the least local potential bounds it below exactly, and a
 short Lanczos run plus its residual bounds it above (Zhou & Li, Linear
-Algebra Appl. 435 (2011) 480).  Per-flavor norms are conserved to machine
-precision; a norm that moves by more than ``_NORM_TOL`` means the upper
-bound was too low.
+Algebra Appl. 435 (2011) 480).  Both three-term recurrences take one
+operator application, ``out <- H phi - out``, as their step.  Per-flavor
+norms are conserved to machine precision; a norm that moves by more than
+``_NORM_TOL`` means the upper bound was too low.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ _A_MAX = 1e3
 # state as its accumulator until the recurrence ends, so this caps the
 # memory: 25 observed stretches at 64^2 take 720 matvecs one at a time, 396
 # in groups of 4 and 239 in one group, whose 25 accumulators add 3.2 MB.
-# Beside the accumulators, a recurrence holds a fixed seven states whatever
-# the group size: its three vectors and product temp, and the operator's
-# three work arrays.
+# Beside the accumulators, a recurrence holds a fixed five states whatever
+# the group size: its two vectors and the operator's three work arrays, the
+# third of which also holds the accumulation product.
 _GROUP = 4
 
 
@@ -89,15 +90,18 @@ def _require_finite(name: str, arr: np.ndarray):
         )
 
 
-def _as_real_vectors(name: str, a, grid: SpectralGrid) -> np.ndarray:
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be real vector fields")
-    a = a.astype(float, copy=False)
-    if a.shape != (2, 2) + grid.shape:
-        raise ValueError(f"{name} must have shape (2, 2, nx, ny)")
-    _require_finite(name, a)
-    return a
+def _as_field(name: str, arr, lead: tuple, grid: SpectralGrid, dtype=float) -> np.ndarray:
+    """``arr`` as a finite ``dtype`` array of shape ``lead + grid.shape``,
+    copied only if it is not one already; a real ``dtype`` rejects complex
+    input, even with a zero imaginary part."""
+    arr = np.asarray(arr)
+    if dtype is float and np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real")
+    arr = arr.astype(dtype, copy=False)
+    if arr.shape != lead + grid.shape:
+        raise ValueError(f"{name} must have shape ({''.join(f'{n}, ' for n in lead)}nx, ny)")
+    _require_finite(name, arr)
+    return arr
 
 
 def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
@@ -120,7 +124,8 @@ def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
 
 class _FlavorOperator:
     """Matvec of the expanded minimal-coupling Hamiltonian of both flavors,
-    stacked on the first axis, each with its own gauge field in ``aq``.
+    stacked on the first axis, each with its own gauge field in ``aq`` and
+    its own potential in ``veff``, plus the common mean field ``u rho``.
 
     The cross term is applied in the symmetrized form i/2 (a.D + D.a): the
     spectral derivative D is exactly anti-self-adjoint and a is a real
@@ -137,27 +142,42 @@ class _FlavorOperator:
 
     with ``local`` holding the potential and 1/2 |a|^2.  Per axis one forward
     transform serves the stacked pair ``[phi, a_j phi]`` and one inverse the
-    pair ``[b0_j, b1_j]``: four one-axis calls per application.  A call works
-    in place in the operator's three work states and in ``out``; given
-    ``out`` (not ``phi`` itself), it makes no field-sized temporaries.
+    pair ``[b0_j, b1_j]``: four one-axis calls per application.  A call
+    ``op(phi, out)`` sets ``out <- H phi - out``, the step of both three-term
+    recurrences, in place in the operator's three work states and in ``out``
+    (not ``phi`` itself), with no field-sized temporaries.  The third work
+    state, ``product``, is free between calls.  ``lo`` is the least potential,
+    ``min(veff + u rho)``; :meth:`rescale` then turns the multipliers into
+    those of 2 (H - mid) / half once, for the Chebyshev recurrence.
     """
 
-    def __init__(self, grid: SpectralGrid, aq: np.ndarray, local: np.ndarray):
+    def __init__(self, grid: SpectralGrid, aq: np.ndarray, veff: np.ndarray,
+                 rho: np.ndarray, u: float):
         # per axis: (transform axis, a_j, 1/2 k_j^2, -1/2 k_j,grad), the
         # wavenumbers shaped to broadcast along that axis
         self.axes = (
             (-2, aq[:, 0], 0.5 * grid.kx[:, None] ** 2, -0.5 * grid.kx_grad[:, None]),
             (-1, aq[:, 1], 0.5 * grid.ky**2, -0.5 * grid.ky_grad),
         )
-        self.local = local + 0.5 * (aq[:, 0] ** 2 + aq[:, 1] ** 2)
-        self._work = np.empty((3,) + local.shape, dtype=np.complex128)
+        self.local = u * rho + veff
+        self.lo = float(self.local.min())
+        self.local += 0.5 * (aq[:, 0] ** 2 + aq[:, 1] ** 2)
+        self._work = np.empty((3,) + veff.shape, dtype=np.complex128)
+        self.product = self._work[2]
 
-    def __call__(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``H phi`` into ``out`` (a new array if None); ``phi`` is not written."""
-        if out is None:
-            out = np.empty(phi.shape, dtype=np.complex128)
+    def rescale(self, mid: float, half: float):
+        """Apply 2 (H - mid) / half from now on instead of ``H``."""
+        scale = 2.0 / half
+        self.local -= mid
+        self.local *= scale
+        self.axes = tuple((axis, a, scale * half_k2, scale * minus_half_k)
+                          for axis, a, half_k2, minus_half_k in self.axes)
+
+    def __call__(self, phi: np.ndarray, out: np.ndarray):
+        """``out <- H phi - out``; ``phi`` is not written."""
         w = self._work
-        np.multiply(self.local, phi, out=out)
+        np.multiply(self.local, phi, out=w[2])
+        np.subtract(w[2], out, out=out)
         for axis, a, half_k2, minus_half_k in self.axes:
             np.copyto(w[0], phi)
             np.multiply(a, phi, out=w[1])
@@ -171,7 +191,6 @@ class _FlavorOperator:
             np.multiply(a, b[1], out=b[1])
             out += b[0]
             out += b[1]
-        return out
 
 
 def eigh_tridiagonal(d, e):
@@ -181,39 +200,39 @@ def eigh_tridiagonal(d, e):
     return np.linalg.eigh(t)
 
 
-def _spectral_bounds(op: _FlavorOperator, local: np.ndarray, work: KrylovWork):
+def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
     """``(lo, hi)`` enclosing the spectrum of ``op``.
 
-    ``lo = min(local)`` is exact: the kinetic and gauge part is
+    ``lo = op.lo`` is exact: the kinetic and gauge part is
     1/2 (P - a)^H (P - a) + 1/2 (k^2 - k_grad^2) >= 0 on the grid.  ``hi`` is
-    the top Ritz value of ``_BOUND_STEPS`` Lanczos steps (three vectors, no
+    the top Ritz value of ``_BOUND_STEPS`` Lanczos steps (two vectors, no
     reorthogonalization) from a fixed random start, plus the residual norm
     of its Ritz pair.  The Ritz pair comes from a dense numpy ``eigh`` of the
     ``_BOUND_STEPS`` x ``_BOUND_STEPS`` tridiagonal Lanczos matrix.
     """
+    shape = op.local.shape
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(local.shape) + 1j * rng.standard_normal(local.shape)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
-    w, t = np.empty((2,) + v.shape, dtype=np.complex128)
+    prod = op.product
     alphas, betas = [], []
     beta = 0.0
     for _ in range(_BOUND_STEPS):
-        op(v, out=w)
-        alpha = float(np.vdot(v, w).real)
-        # w -= alpha * v + beta * v_prev, and v_prev is free after it
-        np.multiply(alpha, v, out=t)
-        np.multiply(beta, v_prev, out=v_prev)
-        t += v_prev
-        w -= t
+        # v_prev <- H v - beta v_prev - alpha v, the next Lanczos vector
+        v_prev *= beta
+        op(v, out=v_prev)
+        alpha = float(np.vdot(v, v_prev).real)
+        np.multiply(alpha, v, out=prod)
+        v_prev -= prod
         alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
+        beta = float(np.linalg.norm(v_prev))
         betas.append(beta)
-        np.divide(w, beta, out=v_prev)
+        v_prev /= beta
         v_prev, v = v, v_prev
     work.matvecs += _BOUND_STEPS
     theta, s = eigh_tridiagonal(alphas, betas[:-1])
-    return float(local.min()), float(theta[-1] + abs(betas[-1] * s[-1, -1]))
+    return op.lo, float(theta[-1] + abs(betas[-1] * s[-1, -1]))
 
 
 def _flavor_norms(phi: np.ndarray) -> np.ndarray:
@@ -222,23 +241,24 @@ def _flavor_norms(phi: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(p) for p in phi])
 
 
-def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
+def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
                        work: KrylovWork):
     """Yield ``exp(-i t H) phi`` for each of the increasing ``times``, in
-    order, for ``H`` with spectrum in ``[lo, hi]``.
+    order, for ``H = mid + half * X`` with spectrum in ``mid -+ half``;
+    ``op`` applies ``Y = 2 X`` (:meth:`_FlavorOperator.rescale`).
 
-    With ``H = mid + half * X`` the expansion is
+    The expansion is
     ``exp(-i mid t) sum_k (2 - [k = 0]) (-i)^k J_k(half t) T_k(X)``; the
     Bessel factors fall off faster than exponentially once ``k > half t``,
     and a time's sum stops where they drop below 1e-16.  The vectors
     ``T_k(X) phi`` do not depend on ``t``, so one three-term recurrence
     serves every time (Kosloff, Annu. Rev. Phys. Chem. 45 (1994) 145), each
-    with its own accumulator.  A time's state is yielded as soon as its sum
-    is complete, while the recurrence runs on for the later times; it is
-    not touched after that, and neither is ``phi``.  The recurrence rotates
-    three vectors and one product temp, allocated once per call.
+    with its own accumulator.  A step ``T_(k+1) = Y T_k - T_(k-1)`` is one
+    call of ``op``, written over ``T_(k-1)``: two vectors, allocated once per
+    call, and ``op.product`` for the accumulation.  A time's state is yielded
+    as soon as its sum is complete, while the recurrence runs on for the
+    later times; it is not touched after that, and neither is ``phi``.
     """
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = half * np.asarray(times, dtype=float)
     # the last term above 1e-16 lies near z + 12 z^(1/3); this length covers it
     k = np.arange(int(z[-1] + 20.0 * z[-1] ** (1.0 / 3.0)) + 40)
@@ -249,18 +269,13 @@ def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
     coef = 2.0 * (-1j) ** k * coef
     coef[:, 0] *= 0.5
 
-    prev, cur, nxt, prod = np.empty((4,) + phi.shape, dtype=np.complex128)
-
-    def x(v, out):  # (H - mid) / half
-        work.matvecs += 1
-        op(v, out=prod)
-        np.multiply(mid, v, out=out)
-        np.subtract(prod, out, out=out)
-        out /= half
-
+    prev, cur = np.zeros((2,) + phi.shape, dtype=np.complex128)
+    prod = op.product
     work.krylov_steps += 1
+    work.matvecs += 1
     np.copyto(prev, phi)
-    x(prev, cur)
+    op(prev, out=cur)
+    cur *= 0.5  # T_1 = X phi
     outs = []
     for c in coef:
         out = c[0] * prev
@@ -270,11 +285,9 @@ def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
     n = 2  # terms summed so far
     for j, end in enumerate(n_terms):
         while n < end:
-            # nxt <- 2 X cur - prev
-            x(cur, nxt)
-            np.multiply(2.0, nxt, out=nxt)
-            nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
+            work.matvecs += 1
+            op(cur, out=prev)
+            prev, cur = cur, prev
             for out, c in zip(outs[j:], coef[j:]):
                 np.multiply(c[n], cur, out=prod)
                 out += prod
@@ -284,11 +297,9 @@ def _chebyshev_advance(op, phi: np.ndarray, times, lo: float, hi: float,
 
 
 def evolve_two_flavor(
-    phi2: np.ndarray,
-    phi3: np.ndarray,
+    phi: np.ndarray,
     a: np.ndarray,
-    veff2: np.ndarray,
-    veff3: np.ndarray,
+    veff: np.ndarray,
     rho: np.ndarray,
     u: float,
     dt: float,
@@ -298,14 +309,19 @@ def evolve_two_flavor(
     observe=(),
     work: KrylovWork | None = None,
 ):
-    """Propagate both flavors for ``n_steps`` of ``dt``; returns new arrays.
+    """Propagate both flavors, stacked in ``phi`` (2, nx, ny), for
+    ``n_steps`` of ``dt``; returns the stacked state of the last step.
+    ``phi`` is read without a copy and never written.
 
     ``a`` stacks the real gauge fields of the two flavors, shape
-    (2, 2, nx, ny): flavor 2 sees ``a[0]``, flavor 3 ``a[1]``; a complex
-    ``a`` raises ``ValueError``.
-    ``callback(step_index, phi2, phi3)``, if given, runs after
-    ``step_index + 1`` steps for each count in ``observe``, and after the
-    last step.  The propagator lands only on those steps: one Chebyshev
+    (2, 2, nx, ny), and ``veff`` their real potentials, shape (2, nx, ny):
+    flavor 2 (``phi[0]``) sees ``a[0]`` and ``veff[0]``, flavor 3 ``a[1]``
+    and ``veff[1]``; both see the mean field ``u * rho`` of the real
+    background ``rho`` (nx, ny).  A complex ``a``, ``veff`` or ``rho``
+    raises ``ValueError``, even with a zero imaginary part.
+    ``callback(step_index, phi)``, if given, runs with the stacked state
+    after ``step_index + 1`` steps for each count in ``observe``, and after
+    the last step.  The propagator lands only on those steps: one Chebyshev
     recurrence from the last state of the group before yields the states of
     up to ``_GROUP`` of them in order, and each is checked and handed to the
     callback as soon as its sum is complete.  A count outside
@@ -320,34 +336,27 @@ def evolve_two_flavor(
     than ``_NORM_TOL`` (the spectral bound was too low).
     """
     ends = observed_steps(observe, n_steps)
-    phi2 = np.asarray(phi2, dtype=np.complex128)
-    phi3 = np.asarray(phi3, dtype=np.complex128)
-    rho = np.asarray(rho, dtype=float)
-    for name, arr in (("phi2", phi2), ("phi3", phi3), ("rho", rho),
-                      ("veff2", veff2), ("veff3", veff3)):
-        if np.asarray(arr).shape != grid.shape:
-            raise ValueError(f"{name} must match the grid shape")
-        _require_finite(name, np.asarray(arr))
+    phi = _as_field("phi", phi, (2,), grid, np.complex128)
+    rho = _as_field("rho", rho, (), grid)
+    veff = _as_field("veff", veff, (2,), grid)
+    a = _as_field("a", a, (2, 2), grid)
+    for q in range(2):
+        _core_guard(a[q], rho, phi[q])
 
-    a = _as_real_vectors("a", a, grid)
-    _core_guard(a[0], rho, phi2)
-    _core_guard(a[1], rho, phi3)
-
-    mf = u * rho
-    local = np.stack([np.asarray(veff2, dtype=float) + mf, np.asarray(veff3, dtype=float) + mf])
-    op = _FlavorOperator(grid, a, local)
+    op = _FlavorOperator(grid, a, veff, rho, u)
     if work is None:
         work = KrylovWork()
-    lo, hi = _spectral_bounds(op, local, work)
+    lo, hi = _spectral_bounds(op, work)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    op.rescale(mid, half)
 
-    phi = np.stack([phi2, phi3])
     norms = _flavor_norms(phi)
     scale = np.where(norms > 0.0, norms, 1.0)
     done = 0
     for first in range(0, len(ends), _GROUP):
         group = ends[first:first + _GROUP]
         times = [(end - done) * dt for end in group]
-        for end, phi in zip(group, _chebyshev_advance(op, phi, times, lo, hi, work)):
+        for end, phi in zip(group, _chebyshev_advance(op, phi, times, mid, half, work)):
             if not np.all(np.isfinite(phi)):
                 raise DivergenceError("non-finite flavor fields", step=end - 1)
             drift = float(np.max(np.abs(_flavor_norms(phi) - norms) / scale))
@@ -358,6 +367,6 @@ def evolve_two_flavor(
                     step=end - 1,
                 )
             if callback is not None:
-                callback(end - 1, phi[0], phi[1])
+                callback(end - 1, phi)
         done = group[-1]
-    return phi[0], phi[1]
+    return phi

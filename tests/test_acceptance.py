@@ -170,8 +170,8 @@ def _constant_gauge_error():
     z = np.zeros(grid.shape)
     a0 = 0.7
     a = np.stack([a0 * np.ones(grid.shape), z])
-    p2, p3 = evolve_two_flavor(psi0.copy(), psi0.copy(), np.stack([a, -a]), z, z, z, 0.0,
-                               0.0125, 20, grid)
+    p2, p3 = evolve_two_flavor(np.stack([psi0, psi0]), np.stack([a, -a]), np.stack([z, z]), z,
+                               0.0, 0.0125, 20, grid)
     spec = fft2(psi0)
     kx = grid.kx_grad[:, None]
     err = 0.0

@@ -351,8 +351,9 @@ def test_drivers_share_the_observation_schedule(weak_beams64, grid64):
 
     def hold(observe):
         seen = []
-        evolve_two_flavor(psi, psi, np.zeros((2, 2) + grid64.shape), z, z, z, 0.0, 0.004, n,
-                          grid64, callback=lambda i, p2, p3: seen.append(i), observe=observe)
+        evolve_two_flavor(np.stack([psi, psi]), np.zeros((2, 2) + grid64.shape), np.stack([z, z]),
+                          z, 0.0, 0.004, n, grid64, callback=lambda i, phi: seen.append(i),
+                          observe=observe)
         return seen
 
     for driver in (load, hold):

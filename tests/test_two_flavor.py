@@ -1,13 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
-from vxsim import two_flavor
+from vxsim import lg_beams, two_flavor, xi_ratios
 from vxsim._fft import fft2, ifft2
 from vxsim.errors import CoreSingularityError, DivergenceError
-from vxsim.gauge import vortex_gauge_field
+from vxsim.evolution import thomas_fermi_density
+from vxsim.gauge import flavor_fields, vortex_gauge_field
 from vxsim.grid import Field, make_grid
 from vxsim.diagnostics import LoopSpec, winding
 from vxsim.two_flavor import KrylovWork, evolve_two_flavor
@@ -34,6 +36,11 @@ def zeros2(grid):
     return np.zeros((2, 2) + grid.shape)
 
 
+def pair(field):
+    """The same field for both flavors, stacked."""
+    return np.stack([field, field])
+
+
 def uniform_fields(grid, a2, a3):
     """Per-flavor uniform gauge fields (a2, 0) and (a3, 0)."""
     z = np.zeros(grid.shape)
@@ -50,7 +57,7 @@ def kspace_propagator(grid, a0, t, sign):
 def test_free_evolution_matches_spectral(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid64.shape)
-    p2, p3 = evolve_two_flavor(psi0, psi0, zeros2(grid64), z, z, z, 0.0, 0.0125, 20, grid64)
+    p2, p3 = evolve_two_flavor(pair(psi0), zeros2(grid64), pair(z), z, 0.0, 0.0125, 20, grid64)
     exact = ifft2(np.exp(-0.5j * 0.25 * grid64.k2) * fft2(psi0))
     assert np.abs(p2 - exact).max() < 1e-12
     assert np.abs(p3 - exact).max() < 1e-12
@@ -63,7 +70,7 @@ def test_constant_gauge_field_exact(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid64.shape)
     a = uniform_fields(grid64, 0.7, -0.3)
-    p2, p3 = evolve_two_flavor(psi0, psi0, a, z, z, z, 0.0, 0.0125, 20, grid64)
+    p2, p3 = evolve_two_flavor(pair(psi0), a, pair(z), z, 0.0, 0.0125, 20, grid64)
     spec = fft2(psi0)
     ex2 = ifft2(kspace_propagator(grid64, 0.7, 0.25, -1) * spec)
     ex3 = ifft2(kspace_propagator(grid64, -0.3, 0.25, -1) * spec)
@@ -77,15 +84,34 @@ def test_time_reversal_pairing(grid64, vortex_background):
     -A) rewinds it to the conjugate initial state."""
     seed, aq, veff, rho = vortex_background
     none = np.zeros_like(seed)
-    fwd, _ = evolve_two_flavor(seed, none, aq, veff, veff, rho, 0.5, 0.01, 30, grid64)
-    _, back = evolve_two_flavor(none, np.conj(fwd), aq, veff, veff, rho, 0.5, 0.01, 30, grid64)
+    fwd, _ = evolve_two_flavor(np.stack([seed, none]), aq, pair(veff), rho, 0.5, 0.01, 30, grid64)
+    _, back = evolve_two_flavor(np.stack([none, np.conj(fwd)]), aq, pair(veff), rho, 0.5, 0.01,
+                                30, grid64)
     assert np.abs(back - np.conj(seed)).max() < 1e-12
+
+
+@pytest.mark.parametrize("l, bound", [(1, 3e-2), (2, 2e-3)])
+def test_reduced_seed_is_stationary_without_interaction(grid64, l, bound):
+    # at u = 0 each flavor's geometric scalar potential W cancels the kinetic
+    # energy of its slaved amplitude, so the dark-state seed -xi_q sqrt(rho)
+    # of the acceptance beams barely moves over T = 2 (125 steps of 0.016):
+    # by an L2-relative 1.60e-2 at l = 1 and 9.8e-4 at l = 2, against 0.566
+    # and 0.605 with W zeroed
+    rho = thomas_fermi_density(grid64, 1.0, 5.0, 0.05)
+    xi = xi_ratios(lg_beams(grid64, l, -l, 0.8, 2.0, 12.0, 6.0))
+    a, w = flavor_fields(*xi, rho, grid64)
+    seed = -np.stack(xi) * np.sqrt(rho)
+    for veff, lo, hi in ((w, 0.0, bound), (np.zeros_like(w), 0.5, np.inf)):
+        phi = evolve_two_flavor(seed, a, veff, rho, 0.0, 0.016, 125, grid64)
+        for p, s in zip(phi, seed):
+            assert lo < np.linalg.norm(p - s) / np.linalg.norm(s) < hi
 
 
 def test_winding_preserved(grid64, vortex_background):
     seed, aq, _, _ = vortex_background
     z = np.zeros(grid64.shape)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, z, z, z, 0.0, 0.01, 50, grid64)
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(z), z, 0.0, 0.01, 50,
+                               grid64)
     loop = LoopSpec(center=(0.0, 0.0), radius=2.0)
     assert winding(Field(grid64, p2), loop).value == 1
     assert winding(Field(grid64, p3), loop).value == -1
@@ -94,7 +120,8 @@ def test_winding_preserved(grid64, vortex_background):
 def test_norm_conserved(grid64, vortex_background):
     seed, aq, veff, rho = vortex_background
     n0 = np.linalg.norm(seed)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01,
+                               100, grid64)
     assert abs(np.linalg.norm(p2) - n0) / n0 < 1e-12
     assert abs(np.linalg.norm(p3) - n0) / n0 < 1e-12
 
@@ -106,7 +133,7 @@ def test_big_step_subdivides_not_degrades(grid32):
     z = np.zeros(grid32.shape)
     a0 = 0.7
     a = uniform_fields(grid32, a0, -a0)
-    p2, _ = evolve_two_flavor(psi0, psi0, a, z, z, z, 0.0, 2.0, 1, grid32)
+    p2, _ = evolve_two_flavor(pair(psi0), a, pair(z), z, 0.0, 2.0, 1, grid32)
     ex = ifft2(kspace_propagator(grid32, a0, 2.0, -1) * fft2(psi0))
     assert np.abs(p2 - ex).max() < 1e-12
 
@@ -114,7 +141,7 @@ def test_big_step_subdivides_not_degrades(grid32):
 def test_zero_field_stays_zero(grid32):
     z = np.zeros(grid32.shape)
     zero = np.zeros(grid32.shape, dtype=complex)
-    p2, p3 = evolve_two_flavor(zero, zero, zeros2(grid32), z, z, z, 1.0, 0.1, 3, grid32)
+    p2, p3 = evolve_two_flavor(pair(zero), zeros2(grid32), pair(z), z, 1.0, 0.1, 3, grid32)
     assert not p2.any() and not p3.any()
 
 
@@ -123,7 +150,7 @@ def test_core_guard_raises_on_live_fields(grid32):
     ones = np.ones(grid32.shape, dtype=complex)
     hot = uniform_fields(grid32, 1e4, 0.0)
     with pytest.raises(CoreSingularityError, match="refine the grid"):
-        evolve_two_flavor(ones, ones, hot, z, z, np.ones(grid32.shape), 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(ones), hot, pair(z), np.ones(grid32.shape), 0.0, 0.01, 1, grid32)
 
 
 def test_core_guard_is_per_flavor(grid32):
@@ -136,9 +163,9 @@ def test_core_guard_is_per_flavor(grid32):
     phi2 = np.ones(grid32.shape, dtype=complex)
     phi3 = np.where(ring, 0.0, rho).astype(complex)
     z = np.zeros(grid32.shape)
-    evolve_two_flavor(phi2, phi3, a, z, z, rho, 0.0, 1e-6, 1, grid32)
+    evolve_two_flavor(np.stack([phi2, phi3]), a, pair(z), rho, 0.0, 1e-6, 1, grid32)
     with pytest.raises(CoreSingularityError, match="refine the grid"):
-        evolve_two_flavor(phi3, phi2, a, z, z, rho, 0.0, 1e-6, 1, grid32)
+        evolve_two_flavor(np.stack([phi3, phi2]), a, pair(z), rho, 0.0, 1e-6, 1, grid32)
 
 
 def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
@@ -150,7 +177,7 @@ def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
     seed = np.where(void, 0.0, seed)
     rho = np.where(void, 0.0, rho)
     z = np.zeros(grid64.shape)
-    evolve_two_flavor(seed, np.conj(seed), aq, z, z, rho, 0.3, 0.01, 2, grid64)
+    evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(z), rho, 0.3, 0.01, 2, grid64)
 
 
 def test_nan_inputs_rejected(grid32):
@@ -159,24 +186,43 @@ def test_nan_inputs_rejected(grid32):
     vbad = z.copy()
     vbad[3, 3] = np.nan
     with pytest.raises(ValueError, match="fill_masked"):
-        evolve_two_flavor(psi, psi, zeros2(grid32), vbad, z, z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32), np.stack([vbad, z]), z, 0.0, 0.01, 1, grid32)
 
 
 def test_argument_validation(grid32):
     z = np.zeros(grid32.shape)
     psi = np.ones(grid32.shape, dtype=complex)
-    with pytest.raises(ValueError, match="grid shape"):
-        evolve_two_flavor(psi[:4], psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32)
+    with pytest.raises(ValueError, match=r"phi must have shape \(2, nx, ny\)"):
+        evolve_two_flavor(pair(psi[:4]), zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32)
+    with pytest.raises(ValueError, match=r"phi must have shape \(2, nx, ny\)"):
+        evolve_two_flavor(psi, zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32)
+    with pytest.raises(ValueError, match=r"veff must have shape \(2, nx, ny\)"):
+        evolve_two_flavor(pair(psi), zeros2(grid32), z, z, 0.0, 0.01, 1, grid32)
+    with pytest.raises(ValueError, match=r"rho must have shape \(nx, ny\)"):
+        evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), pair(z), 0.0, 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"\(2, 2, nx, ny\)"):
-        evolve_two_flavor(psi, psi, zeros2(grid32)[0], z, z, z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32)[0], pair(z), z, 0.0, 0.01, 1, grid32)
     # complex gauge fields are rejected even with a zero imaginary part
     for a in (zeros2(grid32) + 0.1j, zeros2(grid32).astype(complex)):
-        with pytest.raises(ValueError, match="real vector field"):
-            evolve_two_flavor(psi, psi, a, z, z, z, 0.0, 0.01, 1, grid32)
+        with pytest.raises(ValueError, match="a must be real"):
+            evolve_two_flavor(pair(psi), a, pair(z), z, 0.0, 0.01, 1, grid32)
     for observe in ({0}, {2}):
         with pytest.raises(ValueError, match="outside 1..1"):
-            evolve_two_flavor(psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 1, grid32,
+            evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32,
                               observe=observe)
+
+
+def test_complex_potential_rejected(grid32):
+    # a complex potential is an error, not a warning that drops its
+    # imaginary part, even when that part is zero
+    z = np.zeros(grid32.shape)
+    psi = pair(np.ones(grid32.shape, dtype=complex))
+    for veff, rho, name in ((pair(z) + 0.1j, z, "veff"), (pair(z).astype(complex), z, "veff"),
+                            (pair(z), z + 0.1j, "rho"), (pair(z), z.astype(complex), "rho")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be real"):
+                evolve_two_flavor(psi, zeros2(grid32), veff, rho, 0.0, 0.01, 1, grid32)
 
 
 def test_callback_sequence(grid32):
@@ -184,11 +230,11 @@ def test_callback_sequence(grid32):
     z = np.zeros(grid32.shape)
     seen = []
     evolve_two_flavor(
-        psi, psi, zeros2(grid32), z, z, z, 0.0, 0.01, 4, grid32,
-        callback=lambda i, p2, p3: seen.append((i, p2.shape)), observe=range(1, 5),
+        pair(psi), zeros2(grid32), pair(z), z, 0.0, 0.01, 4, grid32,
+        callback=lambda i, phi: seen.append((i, phi.shape)), observe=range(1, 5),
     )
     assert [i for i, _ in seen] == [0, 1, 2, 3]
-    assert all(s == grid32.shape for _, s in seen)
+    assert all(s == (2,) + grid32.shape for _, s in seen)
 
 
 def _every_step(grid, background, n_steps, work=None):
@@ -196,8 +242,8 @@ def _every_step(grid, background, n_steps, work=None):
     seed, aq, veff, rho = background
     seen = []
     out = evolve_two_flavor(
-        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, n_steps, grid,
-        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, n_steps, grid,
+        callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=range(1, n_steps + 1), work=work,
     )
     return out, seen
@@ -206,7 +252,8 @@ def _every_step(grid, background, n_steps, work=None):
 def test_one_advance_matches_every_step(grid64, vortex_background):
     seed, aq, veff, rho = vortex_background
     (ref2, ref3), _ = _every_step(grid64, vortex_background, 100)
-    p2, p3 = evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01,
+                               100, grid64)
     assert np.abs(p2 - ref2).max() < 1e-12
     assert np.abs(p3 - ref3).max() < 1e-12
 
@@ -216,8 +263,8 @@ def test_callback_every_fires_on_its_steps(grid64, vortex_background):
     _, ref = _every_step(grid64, vortex_background, 23)
     seen = []
     evolve_two_flavor(
-        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 23, grid64,
-        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 23, grid64,
+        callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=range(5, 24, 5),
     )
     assert [i for i, _, _ in seen] == [4, 9, 14, 19, 22]
@@ -233,7 +280,7 @@ def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
     _every_step(grid64, vortex_background, 100, work=stepped)
     held = KrylovWork()
     evolve_two_flavor(
-        seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64, work=held
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 100, grid64, work=held
     )
     # one recurrence per group of up to four observed steps, for both
     # flavors at once
@@ -254,27 +301,38 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     work = KrylovWork()
     seen = []
     evolve_two_flavor(
-        seed, np.conj(seed), aq, veff, veff, rho, 0.5, dt, 40, grid64,
-        callback=lambda i, p2, p3: seen.append((i, p2.copy(), p3.copy())),
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, dt, 40, grid64,
+        callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=ends, work=work,
     )
     assert [i + 1 for i, _, _ in seen] == ends
     # reference: a chain of calls that each advance one stretch
     p2, p3 = seed, np.conj(seed)
     for _, s2, s3 in seen:
-        p2, p3 = evolve_two_flavor(p2, p3, aq, veff, veff, rho, 0.5, dt, 5, grid64)
+        p2, p3 = evolve_two_flavor(np.stack([p2, p3]), aq, pair(veff), rho, 0.5, dt, 5, grid64)
         peak = max(np.abs(p2).max(), np.abs(p3).max())
         assert np.abs(s2 - p2).max() <= 1e-12 * peak
         assert np.abs(s3 - p3).max() <= 1e-12 * peak
 
     # two groups of four observed steps, 20 steps each; a group's one
     # recurrence is as long as its last time needs
-    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, aq, local)
-    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
     group_terms = _terms(0.5 * (hi - lo) * 20 * dt)
     assert work.matvecs == two_flavor._BOUND_STEPS + 2 * (group_terms - 1)
     assert work.krylov_steps == 2
+
+
+def _traced_peak(phi, aq, veff, rho, grid, observe):
+    """Peak traced bytes of one 25-step call, the seed copied inside the
+    trace: a group after the first starts from a state the call made, so
+    the seed counts in every case alike."""
+    tracemalloc.start()
+    try:
+        evolve_two_flavor(phi.copy(), aq, veff, rho, 0.5, 0.01, 25, grid, observe=observe)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_grouping_bounds_memory(grid64, vortex_background):
@@ -283,19 +341,26 @@ def test_grouping_bounds_memory(grid64, vortex_background):
     # unobserved stretch, where one recurrence over all 25 steps would hold
     # 24 more
     seed, aq, veff, rho = vortex_background
-    seed3 = np.conj(seed)
-    state = seed.nbytes + seed3.nbytes
+    phi = np.stack([seed, np.conj(seed)])
+    every, one = (_traced_peak(phi, aq, pair(veff), rho, grid64, observe)
+                  for observe in (range(1, 26), ()))
+    assert every - one <= 4 * phi.nbytes
 
-    def peak(observe):
-        tracemalloc.start()
-        try:
-            evolve_two_flavor(seed, seed3, aq, veff, veff, rho, 0.5, 0.01, 25, grid64,
-                              observe=observe)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(range(1, 26)) - peak(()) <= 4 * state
+def test_one_observed_stretch_holds_few_states(grid128):
+    # one unobserved stretch at 128^2 holds, in stacked states, the seed it
+    # reads, the operator's three work states and its half-state potential,
+    # the recurrence's two vectors and one accumulator, plus about a quarter
+    # state of ufunc buffers: 7.80 measured, pinned with under half a state
+    # of margin, so one more half-state array fails (a four-vector
+    # recurrence beside a stacked copy of the seed held 11.55)
+    r = grid128.r_map
+    seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(2j * grid128.phi_map)
+    phi = np.stack([seed, np.conj(seed)])
+    vg = vortex_gauge_field(grid128, 2)
+    veff = pair(0.3 * np.exp(-r**2 / 8.0))
+    peak = _traced_peak(phi, np.stack([vg, -vg]), veff, np.exp(-r**2 / 18.0), grid128, ())
+    assert peak <= 8.25 * phi.nbytes
 
 
 def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
@@ -303,14 +368,15 @@ def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
     # term count k, so the norm guard has to fire
     bounds = two_flavor._spectral_bounds
 
-    def low(op, local, work):
-        lo, hi = bounds(op, local, work)
+    def low(op, work):
+        lo, hi = bounds(op, work)
         return lo, 0.8 * hi
 
     monkeypatch.setattr(two_flavor, "_spectral_bounds", low)
     seed, aq, veff, rho = vortex_background
     with pytest.raises(DivergenceError, match="spectral bound"):
-        evolve_two_flavor(seed, np.conj(seed), aq, veff, veff, rho, 0.5, 0.01, 100, grid64)
+        evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 100,
+                          grid64)
 
 
 def test_spectral_bounds_enclose_exact_spectrum(grid64):
@@ -318,12 +384,12 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     eigenvalues 1/2 k^2 -+ a0 kx + 1/2 a0^2 for the two flavors."""
     a0 = 0.7
     a = np.stack([a0 * np.ones(grid64.shape), np.zeros(grid64.shape)])
-    local = np.zeros((2,) + grid64.shape)
-    op = two_flavor._FlavorOperator(grid64, np.stack([a, -a]), local)
+    z = np.zeros(grid64.shape)
+    op = two_flavor._FlavorOperator(grid64, np.stack([a, -a]), pair(z), z, 0.0)
     exact = np.stack([0.5 * grid64.k2 + sign * a0 * grid64.kx_grad[:, None] + 0.5 * a0**2
                       for sign in (-1, +1)])
     work = KrylovWork()
-    lo, hi = two_flavor._spectral_bounds(op, local, work)
+    lo, hi = two_flavor._spectral_bounds(op, work)
     assert work.matvecs == two_flavor._BOUND_STEPS
     assert lo <= exact.min()
     assert exact.max() <= hi <= 1.01 * exact.max()
@@ -331,8 +397,10 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     t = 1.0
     advance = KrylovWork()
-    (out,) = two_flavor._chebyshev_advance(op, np.stack([psi0, psi0]), [t], lo, hi, advance)
-    z = 0.5 * (hi - lo) * t
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    op.rescale(mid, half)
+    (out,) = two_flavor._chebyshev_advance(op, pair(psi0), [t], mid, half, advance)
+    z = half * t
     assert advance.krylov_steps == 1
     assert advance.matvecs <= z + 12.0 * z ** (1.0 / 3.0) + 40
     ex = ifft2(np.exp(-1j * t * exact) * fft2(psi0))
@@ -354,11 +422,10 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
     from scipy.linalg import eigh_tridiagonal
 
     seed, aq, veff, rho = vortex_background
-    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, aq, local)
-    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
     monkeypatch.setattr(two_flavor, "eigh_tridiagonal", eigh_tridiagonal)
-    ref_lo, ref_hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    ref_lo, ref_hi = two_flavor._spectral_bounds(op, KrylovWork())
     assert lo == ref_lo
     assert hi == pytest.approx(ref_hi, rel=1e-12)
 
@@ -369,9 +436,17 @@ def _vortex_operator(grid, l):
     r = grid.r_map
     seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(1j * l * grid.phi_map)
     vg = vortex_gauge_field(grid, l)
-    local = np.stack([0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0)] * 2)
+    veff = pair(0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0))
     aq = np.stack([vg, -vg])
-    return two_flavor._FlavorOperator(grid, aq, local), np.stack([seed, np.conj(seed)]), aq
+    op = two_flavor._FlavorOperator(grid, aq, veff, np.zeros(grid.shape), 0.0)
+    return op, np.stack([seed, np.conj(seed)]), aq
+
+
+def _apply(op, phi):
+    """``H phi``: one call on a zero-filled ``out``."""
+    out = np.zeros_like(phi)
+    op(phi, out)
+    return out
 
 
 def test_operator_writes_out_and_allocates_nothing(grid128):
@@ -380,20 +455,26 @@ def test_operator_writes_out_and_allocates_nothing(grid128):
     # one at 128^2, where the allocating form raised the peak by 6.3 states
     op, phi, _ = _vortex_operator(grid128, 1)
     before = phi.copy()
-    out = np.empty_like(phi)
-    assert op(phi, out) is out
+    out = np.zeros_like(phi)
+    op(phi, out)
     assert np.array_equal(phi, before)
     # the allocating per-axis form of the same products and sums, in the
     # same order, gives the same values
     expected = op.local * phi
+    kinetic = np.zeros_like(phi)
     for axis, a, half_k2, minus_half_k in op.axes:
         f0 = fft2(phi, axes=(axis,))
         f1 = fft2(a * phi, axes=(axis,))
         b0 = ifft2(half_k2 * f0 + minus_half_k * f1, axes=(axis,))
         b1 = ifft2(minus_half_k * f0, axes=(axis,))
         expected = expected + b0 + a * b1
+        kinetic = kinetic + b0 + a * b1
     assert np.array_equal(out, expected)
-    assert np.array_equal(op(phi), out)
+    # out <- H phi - out: subtracting the local product it held leaves the
+    # per-axis terms alone
+    out = op.local * phi
+    op(phi, out)
+    assert np.array_equal(out, kinetic)
 
     tracemalloc.start()
     try:
@@ -418,7 +499,7 @@ def test_operator_matches_two_dimensional_form(grid64):
     a_dot_grad = ax * ifft2(ikx * f) + ay * ifft2(iky * f)
     kinetic_and_div = ifft2(0.5 * grid64.k2 * f + 0.5j * (ikx * fft2(ax * phi) + iky * fft2(ay * phi)))
     expected = kinetic_and_div + 0.5j * a_dot_grad + op.local * phi
-    assert np.abs(op(phi) - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(_apply(op, phi) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_operator_is_hermitian_on_the_grid(grid64):
@@ -426,21 +507,35 @@ def test_operator_is_hermitian_on_the_grid(grid64):
     rng = np.random.default_rng(11)
     u, v = (rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
             for _ in range(2))
-    u_hv = np.vdot(u, op(v))
-    assert abs(u_hv - np.vdot(op(u), v)) <= 1e-13 * abs(u_hv)
+    u_hv = np.vdot(u, _apply(op, v))
+    assert abs(u_hv - np.vdot(_apply(op, u), v)) <= 1e-13 * abs(u_hv)
+
+
+def test_rescaled_operator_is_the_chebyshev_step(grid64):
+    # after rescale(mid, half) one call gives 2 (H - mid) / half phi - out
+    op, phi, _ = _vortex_operator(grid64, 2)
+    h_phi = _apply(op, phi)
+    mid, half = 3.0, 40.0
+    op.rescale(mid, half)
+    out = phi.copy()
+    op(phi, out)
+    expected = 2.0 * (h_phi - mid * phi) / half - phi
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_background):
     # the recurrence works in its own vectors: a state it has yielded, and
     # the vector it started from, keep their values while it runs on
     seed, aq, veff, rho = vortex_background
-    local = np.stack([veff + 0.5 * rho, veff + 0.5 * rho])
-    op = two_flavor._FlavorOperator(grid64, aq, local)
-    lo, hi = two_flavor._spectral_bounds(op, local, KrylovWork())
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    op.rescale(mid, half)
     phi = np.stack([seed, np.conj(seed)])
     start = phi.copy()
     seen = []
-    for out in two_flavor._chebyshev_advance(op, phi, [0.05, 0.1, 0.2], lo, hi, KrylovWork()):
+    for out in two_flavor._chebyshev_advance(op, phi, [0.05, 0.1, 0.2], mid, half,
+                                             KrylovWork()):
         seen.append((out, out.copy()))
     assert np.array_equal(phi, start)
     assert len({id(out) for out, _ in seen}) == 3
