@@ -45,8 +45,8 @@ __all__ = [
 #: the local series gives up beyond this many terms (dt*max|M| far above 1)
 _SERIES_MAX_TERMS = 32
 
-#: grid points per block of the local series: a block's fields, two term
-#: buffers and couplings (about 1.6 MB) fit in a 2 MB L2 cache
+#: grid points per block of the local series: a block's fields, term buffers
+#: and ten coupling blocks (about 1.6 MB) fit in a 2 MB L2 cache
 _BLOCK_POINTS = 4096
 
 
@@ -58,7 +58,8 @@ class MatterState:
     the component potentials V1..V5.  Functions that advance a state mutate it
     in place and return it: each step overwrites the buffer of ``phi``, so
     callers and callbacks that keep a state or a component of it must copy
-    it (states are cheap: ``state.copy()``).
+    it (states are cheap: ``state.copy()``).  ``norm`` and ``populations``
+    square one component at a time into one reused buffer.
     """
 
     grid: SpectralGrid
@@ -80,17 +81,21 @@ class MatterState:
             grid=self.grid, phi=self.phi.copy(), traps=self.traps, u=self.u, t=self.t
         )
 
-    def densities(self) -> np.ndarray:
-        d = np.abs(self.phi)
-        return np.multiply(d, d, out=d)
+    def _densities(self):
+        d = np.empty(self.grid.shape)
+        for p in self.phi:
+            np.abs(p, out=d)
+            yield np.multiply(d, d, out=d)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.grid.integrate(np.sum(self.densities(), axis=0))))
+        total = np.zeros(self.grid.shape)
+        for d in self._densities():
+            total += d
+        return float(np.sqrt(self.grid.integrate(total)))
 
     def populations(self) -> np.ndarray:
         """Per-component integrated populations (length 5)."""
-        dens = self.densities()
-        return np.array([self.grid.integrate(d) for d in dens])
+        return np.array([self.grid.integrate(d) for d in self._densities()])
 
 
 def initial_state(grid: SpectralGrid, rho: np.ndarray, traps: np.ndarray, u: float) -> MatterState:
@@ -171,15 +176,15 @@ class SplitStepper:
     observed step, which is the last step and each step count in
     ``observe``; ``closed`` says whether the latest step was one.
 
-    Built once per run from the beams: holds both kinetic phases and the
-    Rabi fields with their conjugates, pre-scaled by ``-i*dt``, and the work
-    arrays of the local series, sized from the beams' grid, so that a step
-    makes no field-sized temporaries.  The ramp enters each step as a scalar ``scale`` on
-    the probe pair.  The mean field uses the total density of the three
-    lower components at the pre-step time.  Steps transform ``state.phi`` in
-    place and overwrite its buffer; a state of another grid shape raises
-    ``ValueError``.  ``terms`` counts the local series terms summed over
-    blocks and steps.
+    Built once per run from the beams: holds both kinetic phases, each Rabi
+    field once, scaled in place by ``-i*dt`` (blocks derive the conjugate
+    couplings), and the local series' work arrays, sized from the beams'
+    grid, so that a step makes no field-sized temporaries.  The ramp enters
+    each step as a scalar ``scale`` on the probe pair.  The mean field uses
+    the total density of the three lower components at the pre-step time.
+    Steps transform ``state.phi`` in place and overwrite its buffer; a state
+    of another grid shape raises ``ValueError``.  ``terms`` counts the local
+    series terms summed over blocks and steps.
     """
 
     def __init__(self, beams: BeamSet, dt: float, n_steps: int = 1, observe=()):
@@ -194,13 +199,12 @@ class SplitStepper:
         k2 = beams.grid.k2
         self._half = np.exp(-0.25j * k2 * dt)
         self._full = np.exp(-0.5j * k2 * dt)
-        f = -1j * dt
-        op1, op2 = beams.omega_p1(), beams.omega_p2()
-        oc1, oc2 = beams.omega_c1(), beams.omega_c2()
-        # off-diagonal entries of -i*dt*M: probes at (0, 3), (0, 4), (3, 0),
-        # (4, 0); controls at (1, 3), (2, 4), (3, 1), (4, 2)
-        self._probes = (f * np.conj(op1), f * np.conj(op2), f * op1, f * op2)
-        self._controls = (f * np.conj(oc1), f * np.conj(oc2), f * oc1, f * oc2)
+        # entries (3, 0), (4, 0), (3, 1), (4, 2) of -i*dt*M, scaled in place;
+        # each block derives their conjugates at (0, 3), (0, 4), (1, 3), (2, 4)
+        self._probes = (beams.omega_p1(), beams.omega_p2())
+        self._controls = (beams.omega_c1(), beams.omega_c2())
+        for field in self._probes + self._controls:
+            field *= -1j * dt
         self._eps = np.array([0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15])
         self._shape = beams.grid.shape
         nx, ny = self._shape
@@ -208,7 +212,7 @@ class SplitStepper:
         rows = min(nx, max(1, _BLOCK_POINTS // ny))
         self._blocks = [slice(start, start + rows) for start in range(0, nx, rows)]
         # work arrays of one block: two series terms, a product, the lower
-        # density, a real scratch, the diagonal and the ramp-scaled probes;
+        # density, a real scratch, the diagonal and six couplings;
         # the real ones are contiguous, which numpy writes faster than the
         # real part of a complex array
         self._terms = np.empty((2, 5, rows, ny), dtype=np.complex128)
@@ -216,7 +220,7 @@ class SplitStepper:
         self._rho_low = np.empty((rows, ny))
         self._real = np.empty((5, rows, ny))
         self._diag = np.empty((5, rows, ny), dtype=np.complex128)
-        self._scaled = np.empty((4, rows, ny), dtype=np.complex128)
+        self._scaled = np.empty((6, rows, ny), dtype=np.complex128)
 
     def _check_shape(self, state: MatterState):
         if state.grid.shape != self._shape:
@@ -273,10 +277,14 @@ class SplitStepper:
         np.multiply(state.u, rho_low, out=rho_low)
         real[:3] += rho_low
         np.multiply(real, -1j * self.dt, out=diag)
-        for out, a in zip(self._scaled, self._probes):
+        p1, p2, p1c, p2c, c1c, c2c = self._scaled
+        for out, a in zip((p1, p2), self._probes):
             np.multiply(scale, a[block], out=out)
-        p1c, p2c, p1, p2 = self._scaled
-        c1c, c2c, c1, c2 = (a[block] for a in self._controls)
+        c1, c2 = (a[block] for a in self._controls)
+        # f*conj(O) = -conj(f*O) up to the sign of a zero part (f = -i*dt)
+        for out, a in zip((p1c, p2c, c1c, c2c), (p1, p2, c1, c2)):
+            np.negative(a.view(np.float64), out=out.view(np.float64))
+            np.conjugate(out, out=out)
         couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
                      (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
         # term k is built from term k-1 in the other buffer; term 0 is phi

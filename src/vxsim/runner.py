@@ -97,9 +97,9 @@ class _Scenario:
     grid: SpectralGrid
     beams: BeamSet
     rho: np.ndarray
-    # the reduced branch's dark-state ratios and the fields each flavor
-    # sees: gauge fields (2, 2, nx, ny) and scalar potentials (2, nx, ny)
-    xi: tuple[np.ndarray, np.ndarray] | None = None
+    # the reduced branch's stacked ratios, taken over by its seed, and the
+    # fields each flavor sees: gauge (2, 2, nx, ny), scalar (2, nx, ny)
+    xi: np.ndarray | None = None
     a: np.ndarray | None = None
     w: np.ndarray | None = None
 
@@ -138,7 +138,7 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     scenario = _Scenario(grid=grid, beams=beams, rho=rho)
     # the reduced branch's seed and fields; reduced modes are engineered
     if cfg.run.mode != "full":
-        scenario.xi = xi_ratios(beams)
+        scenario.xi = np.stack(xi_ratios(beams))
         scenario.a, scenario.w = flavor_fields(*scenario.xi, rho, grid)
     return scenario
 
@@ -329,7 +329,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             background, t0 = at_ramp_end.phi[0], at_ramp_end.t
         else:
             background, t0 = np.sqrt(scenario.rho), 0.0
-        phi = np.stack(scenario.xi)
+        phi, scenario.xi = scenario.xi, None
         np.negative(phi, out=phi)
         phi *= background
         # the drift gate keeps only the seed's norms

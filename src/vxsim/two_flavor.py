@@ -212,7 +212,10 @@ def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
     """
     shape = op.local.shape
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # filled part by part: standard_normal(out=v.real) needs a contiguous v.real
+    v = np.empty(shape, dtype=np.complex128)
+    v.real = rng.standard_normal(shape)
+    v.imag = rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     prod = op.product

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vxsim.evolution as evolution
-from vxsim.beams import lg_beams, xi_ratios
+from vxsim.beams import BeamSet, lg_beams, xi_ratios
 from vxsim.errors import AdiabaticityWarning, DivergenceError
 from vxsim.evolution import (
     MatterState,
@@ -411,3 +411,76 @@ def test_stepper_rejects_another_grid(weak_beams64, grid16):
         with pytest.raises(ValueError, match=r"state grid \(16, 16\)"):
             call(_blank_state(grid16))
     assert stepper.index == 0 and stepper.terms == 0
+
+
+def _traced(build):
+    """``(result, held, peak)``: what ``build()`` returns, the bytes it left
+    allocated and its peak above the start, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def test_stepper_holds_each_coupling_once(grid128):
+    # two kinetic phases, four -i*dt*Omega fields and the block buffers
+    # (25 block planes of a quarter plane each) make 12.3 complex planes;
+    # held conjugate copies made 15.8, and building them beside the raw
+    # fields peaked at 19.8.  Margin: half a plane.
+    beams = lg_beams(grid128, l1=1, l2=-1, probe_peak=0.3, probe_waist=2.0,
+                     control_peak=10.0, control_waist=6.0)
+    plane = grid128.k2.size * 16
+    _, held, peak = _traced(lambda: SplitStepper(beams, 0.004))
+    assert held / plane < 12.75
+    assert peak / plane < 12.75
+
+
+def test_norm_and_populations_square_one_component_at_a_time(grid64):
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((5, 64, 64)) + 1j * rng.standard_normal((5, 64, 64))
+    state = MatterState(grid64, phi, np.zeros((5, 64, 64)), 0.1)
+    (norm, pops), _, peak = _traced(lambda: (state.norm(), state.populations()))
+    # a (5, nx, ny) density stack and its sum made 3 complex planes
+    assert peak / (grid64.k2.size * 16) < 2.0
+    # and the sums keep the stacked order bit for bit
+    dens = np.abs(phi) ** 2
+    assert norm == float(np.sqrt(grid64.integrate(np.sum(dens, axis=0))))
+    assert np.array_equal(pops, [grid64.integrate(d) for d in dens])
+
+
+def test_stepper_derives_the_conjugate_couplings_exactly(grid16):
+    # for f = -1j*dt one product in each part of f*w is zero, so
+    # f*conj(w) = -conj(f*w) bit for bit in every nonzero part, also after
+    # scaling by the ramp (a zero part may differ in sign only, which
+    # compares equal); the stepper derives each block's conjugate couplings
+    # from its (ramp-scaled) f*Omega by that identity.  Random amplitudes
+    # with exact zeros, vortex phases and one tilted control give parts of
+    # both signs.
+    rng = np.random.default_rng(5)
+    control = 1.0 + rng.random((2,) + grid16.shape)
+    probe = 0.1 * control * rng.random((2,) + grid16.shape)
+    probe[:, ::3] = 0.0
+    beams = BeamSet(grid=grid16, p1=probe[0], p2=probe[1], c1=control[0], c2=control[1],
+                    l1=1, l2=-2, kc2=(1.0, -2.0))
+    omegas = [om() for om in (beams.omega_p1, beams.omega_p2, beams.omega_c1, beams.omega_c2)]
+    for dt, scale in ((0.004, 1.0), (0.016, 0.37), (1e-3 / 3, 1e-9)):
+        f = -1j * dt
+        for w in omegas:
+            fw = w.copy()
+            fw *= f
+            for g in (1.0, scale):
+                assert np.array_equal(np.multiply(g, f * np.conj(w)).view(np.float64),
+                                      (-np.conj(np.multiply(g, fw))).view(np.float64))
+        stepper = SplitStepper(beams, dt)
+        stepper.local(_blank_state(grid16), scale)
+        assert stepper._blocks == [slice(0, 16)]
+        expected = [np.multiply(scale, f * om) for om in omegas[:2]]
+        expected += [np.multiply(scale, f * np.conj(om)) for om in omegas[:2]]
+        expected += [f * np.conj(om) for om in omegas[2:]]
+        assert len(stepper._scaled) == len(expected)
+        for got, want in zip(stepper._scaled, expected):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
