@@ -55,6 +55,10 @@ class SpectralGrid:
         1-D wavenumbers with the Nyquist bin zeroed.  Odd-order spectral
         derivatives use these so that derivatives of real fields stay
         conjugate-symmetric.
+    xm, ym : ndarray
+        ``x`` and ``y`` on the 2-D grid, as ``meshgrid(x, y, indexing="ij")``
+        gives them, but read-only broadcast views of the axes (a zero
+        stride along the other axis).
     r_map, phi_map : ndarray
         Polar radius and azimuth ``atan2(y, x)`` about the box center.
     """
@@ -115,7 +119,9 @@ class SpectralGrid:
         object.__setattr__(self, "kx_grad", kxg)
         object.__setattr__(self, "ky_grad", kyg)
 
-        xm, ym = np.meshgrid(x, y, indexing="ij")
+        # read-only views of the axes: a zero stride, no plane of their own
+        xm = np.broadcast_to(x[:, None], self.shape)
+        ym = np.broadcast_to(y, self.shape)
         object.__setattr__(self, "xm", xm)
         object.__setattr__(self, "ym", ym)
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import BeamSet, lg_amplitude, xi_ratios
+from .beams import CONTROL_FLOOR, BeamSet, lg_amplitude, xi_ratios
 from .config import SimConfig, parse_config, serialize_config
 from .diagnostics import (
     LoopSpec,
@@ -35,7 +35,7 @@ from .diagnostics import (
     compare_states,
     winding,
 )
-from .errors import ConfigError, CoreSingularityError, DivergenceError, VxsimError
+from .errors import ConfigError, CoreSingularityError, DivergenceError, MaskError, VxsimError
 from .evolution import (
     MatterState,
     Ramp,
@@ -95,13 +95,9 @@ class RunReport:
 @dataclass
 class _Scenario:
     grid: SpectralGrid
-    beams: BeamSet
+    # None once nothing reads the beams again
+    beams: BeamSet | None
     rho: np.ndarray
-    # the reduced branch's stacked ratios, taken over by its seed, and the
-    # fields each flavor sees: gauge (2, 2, nx, ny), scalar (2, nx, ny)
-    xi: np.ndarray | None = None
-    a: np.ndarray | None = None
-    w: np.ndarray | None = None
 
 
 def _build_beams(cfg: SimConfig, grid: SpectralGrid) -> BeamSet:
@@ -135,12 +131,14 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
-    scenario = _Scenario(grid=grid, beams=beams, rho=rho)
-    # the reduced branch's seed and fields; reduced modes are engineered
     if cfg.run.mode != "full":
-        scenario.xi = np.stack(xi_ratios(beams))
-        scenario.a, scenario.w = flavor_fields(*scenario.xi, rho, grid)
-    return scenario
+        # the reduced branch builds its ratios and fields after the five-field
+        # branch; a ratio they could not evaluate stops the run before it steps
+        for q, (probe, control) in enumerate(((beams.p1, beams.c1), (beams.p2, beams.c2)), 1):
+            if np.any(control < CONTROL_FLOOR) or not probe.any():
+                raise MaskError(f"no evaluable points: ratio xi{q} = p{q}/c{q} is undefined "
+                                "or zero everywhere")
+    return _Scenario(grid=grid, beams=beams, rho=rho)
 
 
 def _require_reducible(cfg: SimConfig):
@@ -180,13 +178,13 @@ class _Out:
         return path
 
 
-def _write_flavor_fields(out: _Out, scenario: _Scenario):
+def _write_flavor_fields(out: _Out, grid: SpectralGrid, a: np.ndarray, w: np.ndarray):
     for q, alpha in enumerate((2, 3)):
         for comp, axis in enumerate("xy"):
-            values = scenario.a[q, comp].astype(np.complex128)
-            out.field(f"eff_a{alpha}_{axis}.vxf", Field(grid=scenario.grid, values=values))
-        values = scenario.w[q].astype(np.complex128)
-        out.field(f"eff_w{alpha}.vxf", Field(grid=scenario.grid, values=values))
+            values = a[q, comp].astype(np.complex128)
+            out.field(f"eff_a{alpha}_{axis}.vxf", Field(grid=grid, values=values))
+        values = w[q].astype(np.complex128)
+        out.field(f"eff_w{alpha}.vxf", Field(grid=grid, values=values))
 
 
 def _loading_rows(rows: list, branch: str, state: MatterState, step: int):
@@ -213,7 +211,8 @@ def _snapshot_steps(cfg: SimConfig, n_steps: int) -> range:
 
 def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
                      n_steps: int, capture_at: int | None = None):
-    """Drive the five-field run; returns (final_state, captured_state, result)."""
+    """Drive the five-field run; returns (final_state, captured, result), where
+    ``captured`` is ``(ground component, time)`` after ``capture_at`` steps."""
     traps = np.zeros((5,) + scenario.grid.shape)
     if cfg.physics.traps == "engineered":
         # V1 holds the background; the slaved levels need no trap of their own
@@ -224,7 +223,7 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
 
     def snapshot(i, st):
         if i + 1 == capture_at:
-            captured["state"] = st.copy()
+            captured["ground"] = st.phi[0].copy(), st.t
         if i + 1 in snaps:
             for alpha in (1, 2, 3):
                 out.field(
@@ -234,7 +233,8 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
         if i + 1 in snaps or i + 1 == n_steps:
             _loading_rows(rows, "full", st, i + 1)
 
-    # the ramp-end capture needs a whole state, so that step is observed too
+    # the ramp-end capture needs the state at a step end, so that step is
+    # observed too
     result = run_adiabatic_loading(
         state,
         scenario.beams,
@@ -244,7 +244,7 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
         snapshot_cb=snapshot,
         observe={*snaps, capture_at} - {None},
     )
-    return result.state, captured.get("state"), result
+    return result.state, captured.get("ground"), result
 
 
 def _winding_values(values: dict, prefix: str, cfg: SimConfig, grid: SpectralGrid,
@@ -264,8 +264,11 @@ def _drift_ok(drift: float, n_steps: int) -> bool:
 
 
 def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
-                          seed: np.ndarray, n_steps: int, t0: float):
-    """Drive the reduced run from the stacked ``seed``; returns (phi, solver work)."""
+                          seed: np.ndarray, a: np.ndarray, w: np.ndarray, n_steps: int,
+                          t0: float):
+    """Drive the reduced run from the stacked ``seed`` in the fields ``a`` and
+    ``w`` (:func:`~vxsim.gauge.flavor_fields`); returns (phi, solver work).
+    The run overwrites ``seed`` and ``w``."""
     grid = scenario.grid
     snaps = _snapshot_steps(cfg, n_steps)
 
@@ -278,7 +281,7 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
                 out.field(f"eff_phi{alpha}_{i + 1:05d}.vxf", Field(grid=grid, values=p))
 
     work = KrylovWork()
-    phi = evolve_two_flavor(seed, scenario.a, scenario.w, scenario.rho, cfg.physics.u,
+    phi = evolve_two_flavor(seed, a, w, scenario.rho, cfg.physics.u,
                             cfg.run.dt, n_steps, grid, callback=snapshot, observe=snaps,
                             work=work)
     return phi, work
@@ -323,20 +326,30 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             out.field(f"phi{alpha}_final.vxf", Field(grid=grid, values=state.phi[alpha - 1]))
 
     if mode != "full":
+        # the stacked ratios and the fields each flavor sees: gauge
+        # (2, 2, nx, ny), scalar (2, nx, ny)
+        xi = np.stack(xi_ratios(scenario.beams))
+        if mode == "effective":
+            # only compare mode's analytic state reads the beams again
+            scenario.beams = None
+        a, w = flavor_fields(*xi, scenario.rho, grid)
+        # the reduced run overwrites w
+        _write_flavor_fields(out, grid, a, w)
         # dark-state seed: the static background, or in compare mode the
         # ground component the full branch held at ramp end
         if mode == "compare":
-            background, t0 = at_ramp_end.phi[0], at_ramp_end.t
+            background, t0 = at_ramp_end
         else:
             background, t0 = np.sqrt(scenario.rho), 0.0
-        phi, scenario.xi = scenario.xi, None
-        np.negative(phi, out=phi)
+        # the seed takes over the ratios' buffer
+        phi = np.negative(xi, out=xi)
         phi *= background
         # the drift gate keeps only the seed's norms
         norms_0 = [Field(grid, p).norm() for p in phi]
         work = KrylovWork()
         if hold_steps > 0:
-            phi, work = _run_effective_branch(cfg, scenario, out, rows, phi, hold_steps, t0)
+            phi, work = _run_effective_branch(cfg, scenario, out, rows, phi, a, w, hold_steps,
+                                              t0)
         for alpha, p, n_0 in zip((2, 3), phi, norms_0):
             drift = abs(Field(grid, p).norm() - n_0) / n_0
             values[f"effective.norm_drift{alpha}"] = drift
@@ -344,7 +357,6 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
         values["effective.krylov_steps"] = work.krylov_steps
         values["effective.matvecs"] = work.matvecs
         _winding_values(values, "effective", cfg, grid, phi, loop)
-        _write_flavor_fields(out, scenario)
         for alpha, p in zip((2, 3), phi):
             out.field(f"eff_phi{alpha}_final.vxf", Field(grid=grid, values=p))
 

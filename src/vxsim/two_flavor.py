@@ -28,7 +28,8 @@ fields are static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
 Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
 propagated by a Chebyshev expansion of the operator exponential (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81 (1984) 3967): two vectors updated in place, no
+Kosloff, J. Chem. Phys. 81 (1984) 3967): two vectors updated in place, the
+first of them the buffer of the state it starts from, no
 reorthogonalization and no step control.  Its vectors do not depend on the
 time, so one recurrence serves up to ``_GROUP`` consecutive observed steps,
 each summed into its own accumulator; the next group starts from the last
@@ -36,9 +37,10 @@ state of the one before.  The expansion needs the spectrum's bounds, found
 once per call: the least local potential bounds it below exactly, and a
 short Lanczos run plus its residual bounds it above (Zhou & Li, Linear
 Algebra Appl. 435 (2011) 480).  Both three-term recurrences take one
-operator application, ``out <- H phi - out``, as their step.  Per-flavor
-norms are conserved to machine precision; a norm that moves by more than
-``_NORM_TOL`` means the upper bound was too low.
+operator application, ``out <- H phi - out``, as their step; it works in
+two states of its own and builds its local potential in the buffer of
+``veff``.  Per-flavor norms are conserved to machine precision; a norm that
+moves by more than ``_NORM_TOL`` means the upper bound was too low.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ _A_MAX = 1e3
 # state as its accumulator until the recurrence ends, so this caps the
 # memory: 25 observed stretches at 64^2 take 720 matvecs one at a time, 396
 # in groups of 4 and 239 in one group, whose 25 accumulators add 3.2 MB.
-# Beside the accumulators, a recurrence holds a fixed five states whatever
-# the group size: its two vectors and the operator's three work arrays, the
-# third of which also holds the accumulation product.
+# Beside the accumulators, a recurrence holds a fixed four states whatever
+# the group size: its two vectors, the first of them the buffer of the
+# state it starts from, and the operator's two work states, the first of
+# which also holds the accumulation product between calls.
 _GROUP = 4
 
 
@@ -141,56 +144,81 @@ class _FlavorOperator:
         b1_j = F_j^-1 (-1/2 k_j,grad F_j phi),
 
     with ``local`` holding the potential and 1/2 |a|^2.  Per axis one forward
-    transform serves the stacked pair ``[phi, a_j phi]`` and one inverse the
-    pair ``[b0_j, b1_j]``: four one-axis calls per application.  A call
-    ``op(phi, out)`` sets ``out <- H phi - out``, the step of both three-term
-    recurrences, in place in the operator's three work states and in ``out``
-    (not ``phi`` itself), with no field-sized temporaries.  The third work
-    state, ``product``, is free between calls.  ``lo`` is the least potential,
-    ``min(veff + u rho)``; :meth:`rescale` then turns the multipliers into
-    those of 2 (H - mid) / half once, for the Chebyshev recurrence.
+    transform serves the stacked pair ``[f0, f1] = F_j [phi, a_j phi]`` and
+    one inverse the pair ``[b1_j, b0_j]``: four one-axis calls per
+    application.  The pair is finished in place.  Away from the Nyquist line
+    k_j^2 = k_j,grad^2, so ``f0 <- -k_j,grad f0`` and
+    ``f1 <- (f1 + f0) (-1/2 s k_j,grad)`` give b0_j's transform and
+    ``f0 <- 1/2 s f0`` b1_j's, where ``s`` is the factor of :meth:`rescale`
+    (1 before it); on the Nyquist line b0_j's transform is
+    1/2 s k_nyq^2 times the saved line of ``f0``.  A call ``op(phi, out)``
+    sets ``out <- H phi - out``, the step of both three-term recurrences, in
+    place in the operator's two work states and in ``out`` (not ``phi``
+    itself), with no field-sized temporaries.  The first work state,
+    ``product``, is free between calls.
+
+    ``local`` is built in the buffer of ``veff``, which is overwritten.
+    ``lo`` is the least potential, ``min(veff + u rho)``; :meth:`rescale`
+    then turns the multipliers into those of 2 (H - mid) / half once, for
+    the Chebyshev recurrence.
     """
 
     def __init__(self, grid: SpectralGrid, aq: np.ndarray, veff: np.ndarray,
                  rho: np.ndarray, u: float):
-        # per axis: (transform axis, a_j, 1/2 k_j^2, -1/2 k_j,grad), the
-        # wavenumbers shaped to broadcast along that axis
-        self.axes = (
-            (-2, aq[:, 0], 0.5 * grid.kx[:, None] ** 2, -0.5 * grid.kx_grad[:, None]),
-            (-1, aq[:, 1], 0.5 * grid.ky**2, -0.5 * grid.ky_grad),
+        # per axis: (transform axis, a_j, k_j,grad, Nyquist line, k_nyq^2,
+        # the line's save buffer), the wavenumbers shaped to broadcast along
+        # that axis
+        lead = veff.shape[:1]
+        self._axes = (
+            (-2, aq[:, 0], grid.kx_grad[:, None], (Ellipsis, grid.nx // 2, slice(None)),
+             grid.kx[grid.nx // 2] ** 2, np.empty(lead + (grid.ny,), dtype=np.complex128)),
+            (-1, aq[:, 1], grid.ky_grad, (Ellipsis, grid.ny // 2),
+             grid.ky[grid.ny // 2] ** 2, np.empty(lead + (grid.nx,), dtype=np.complex128)),
         )
-        self.local = u * rho + veff
+        veff += u * rho
+        self.local = veff
         self.lo = float(self.local.min())
         self.local += 0.5 * (aq[:, 0] ** 2 + aq[:, 1] ** 2)
-        self._work = np.empty((3,) + veff.shape, dtype=np.complex128)
-        self.product = self._work[2]
+        self._work = np.empty((2,) + veff.shape, dtype=np.complex128)
+        self.product = self._work[0]
+        self._scale(1.0)
+
+    def _scale(self, s: float):
+        """Multipliers of ``s`` times the kinetic and gauge part."""
+        self._half_s = 0.5 * s
+        self.axes = tuple(
+            (axis, a, -k_grad, -self._half_s * k_grad, nyq, self._half_s * k_nyq2, line)
+            for axis, a, k_grad, nyq, k_nyq2, line in self._axes
+        )
 
     def rescale(self, mid: float, half: float):
         """Apply 2 (H - mid) / half from now on instead of ``H``."""
         scale = 2.0 / half
         self.local -= mid
         self.local *= scale
-        self.axes = tuple((axis, a, scale * half_k2, scale * minus_half_k)
-                          for axis, a, half_k2, minus_half_k in self.axes)
+        self._scale(scale)
 
     def __call__(self, phi: np.ndarray, out: np.ndarray):
         """``out <- H phi - out``; ``phi`` is not written."""
         w = self._work
-        np.multiply(self.local, phi, out=w[2])
-        np.subtract(w[2], out, out=out)
-        for axis, a, half_k2, minus_half_k in self.axes:
+        np.multiply(self.local, phi, out=w[0])
+        np.subtract(w[0], out, out=out)
+        for axis, a, minus_k, minus_half_sk, nyq, half_s_k_nyq2, line in self.axes:
             np.copyto(w[0], phi)
             np.multiply(a, phi, out=w[1])
-            f = fft2(w[:2], overwrite_x=True, axes=(axis,))
-            # f <- [1/2 k^2 f0 - 1/2 k f1, -1/2 k f0]; w[2] holds -1/2 k f1
-            np.multiply(minus_half_k, f[1], out=w[2])
-            np.multiply(minus_half_k, f[0], out=f[1])
-            np.multiply(half_k2, f[0], out=f[0])
-            f[0] += w[2]
-            b = ifft2(f, overwrite_x=True, axes=(axis,))
-            np.multiply(a, b[1], out=b[1])
-            out += b[0]
-            out += b[1]
+            f = fft2(w, overwrite_x=True, axes=(axis,))
+            # f <- [-1/2 s k f0, 1/2 s (k^2 f0 - k f1)], the transforms of b1, b0
+            f0, f1 = f
+            np.copyto(line, f0[nyq])
+            f0 *= minus_k
+            f1 += f0
+            f1 *= minus_half_sk
+            np.multiply(half_s_k_nyq2, line, out=f1[nyq])
+            f0 *= self._half_s
+            b1, b0 = ifft2(f, overwrite_x=True, axes=(axis,))
+            np.multiply(a, b1, out=b1)
+            out += b0
+            out += b1
 
 
 def eigh_tridiagonal(d, e):
@@ -257,10 +285,11 @@ def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
     ``T_k(X) phi`` do not depend on ``t``, so one three-term recurrence
     serves every time (Kosloff, Annu. Rev. Phys. Chem. 45 (1994) 145), each
     with its own accumulator.  A step ``T_(k+1) = Y T_k - T_(k-1)`` is one
-    call of ``op``, written over ``T_(k-1)``: two vectors, allocated once per
-    call, and ``op.product`` for the accumulation.  A time's state is yielded
+    call of ``op``, written over ``T_(k-1)``: two vectors, ``phi`` itself as
+    ``T_0`` and one allocated per call, and ``op.product`` for the
+    accumulation.  ``phi`` is thus overwritten.  A time's state is yielded
     as soon as its sum is complete, while the recurrence runs on for the
-    later times; it is not touched after that, and neither is ``phi``.
+    later times; it is not touched after that.
     """
     z = half * np.asarray(times, dtype=float)
     # the last term above 1e-16 lies near z + 12 z^(1/3); this length covers it
@@ -272,11 +301,10 @@ def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
     coef = 2.0 * (-1j) ** k * coef
     coef[:, 0] *= 0.5
 
-    prev, cur = np.zeros((2,) + phi.shape, dtype=np.complex128)
+    prev, cur = phi, np.zeros_like(phi)
     prod = op.product
     work.krylov_steps += 1
     work.matvecs += 1
-    np.copyto(prev, phi)
     op(prev, out=cur)
     cur *= 0.5  # T_1 = X phi
     outs = []
@@ -314,7 +342,10 @@ def evolve_two_flavor(
 ):
     """Propagate both flavors, stacked in ``phi`` (2, nx, ny), for
     ``n_steps`` of ``dt``; returns the stacked state of the last step.
-    ``phi`` is read without a copy and never written.
+    The propagation works in the buffers it is handed: a complex128 ``phi``
+    is the first recurrence vector and a float ``veff`` holds the operator's
+    local potential, so both are overwritten (other dtypes are converted to
+    copies first).
 
     ``a`` stacks the real gauge fields of the two flavors, shape
     (2, 2, nx, ny), and ``veff`` their real potentials, shape (2, nx, ny):
@@ -327,8 +358,10 @@ def evolve_two_flavor(
     the last step.  The propagator lands only on those steps: one Chebyshev
     recurrence from the last state of the group before yields the states of
     up to ``_GROUP`` of them in order, and each is checked and handed to the
-    callback as soon as its sum is complete.  A count outside
-    ``1..n_steps`` raises ``ValueError``.  Pass a :class:`KrylovWork` as
+    callback as soon as its sum is complete.  The last state of a group is
+    the first recurrence vector of the next, so a state handed to the
+    callback holds its values only until the callback returns.  A count
+    outside ``1..n_steps`` raises ``ValueError``.  Pass a :class:`KrylovWork` as
     ``work`` to have the solver work added to it.
 
     Raises :class:`~vxsim.errors.CoreSingularityError` if a flavor's

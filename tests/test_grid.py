@@ -21,6 +21,14 @@ def test_coordinates_center_on_grid_point(grid16):
     assert grid16.phi_map[grid16.nx // 2, grid16.ny // 2 + 3] == pytest.approx(np.pi / 2)
 
 
+def test_coordinate_planes_are_read_only_views():
+    g = make_grid(8, 16, 4.0, 2.0)
+    for plane, ref, axis in zip((g.xm, g.ym), np.meshgrid(g.x, g.y, indexing="ij"), (1, 0)):
+        assert np.array_equal(plane, ref)
+        assert not plane.flags.writeable
+        assert plane.strides[axis] == 0
+
+
 def test_spectral_derivatives_exact_on_modes(grid16):
     f = np.sin(grid16.xm) * np.cos(2.0 * grid16.ym)
     fx, fy = gradient(f, grid16)

@@ -271,6 +271,8 @@ SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
 @pytest.mark.parametrize("text, cause", [
     pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nrun.mode = effective\n",
                  "MaskError", id="zero-probes-mask"),
+    pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nrun.mode = compare\n",
+                 "MaskError", id="zero-probes-mask-compare"),
     pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nphysics.traps = none\n"
                  "run.mode = full\n", "PhaseUndefinedError", id="zero-probes-winding"),
     pytest.param("grid.nx = 16\ngrid.ny = 16\nphysics.tf_radius = 3.0\nrun.mode = full\n"
@@ -292,6 +294,8 @@ def test_setup_failures_are_exit_2(tmp_path, text, cause):
     rep = run(parse_config(text), out_dir=tmp_path / "out")
     assert rep.exit_code == 2
     assert cause in rep.values["error"]
+    # no run gets as far as the end of the five-field branch
+    assert not list((tmp_path / "out").glob("phi*_final.vxf"))
 
 
 def test_non_finite_config_built_in_code_is_exit_2(tmp_path):

@@ -102,7 +102,8 @@ def test_reduced_seed_is_stationary_without_interaction(grid64, l, bound):
     a, w = flavor_fields(*xi, rho, grid64)
     seed = -np.stack(xi) * np.sqrt(rho)
     for veff, lo, hi in ((w, 0.0, bound), (np.zeros_like(w), 0.5, np.inf)):
-        phi = evolve_two_flavor(seed, a, veff, rho, 0.0, 0.016, 125, grid64)
+        # the call overwrites the seed and the potential it is handed
+        phi = evolve_two_flavor(seed.copy(), a, veff.copy(), rho, 0.0, 0.016, 125, grid64)
         for p, s in zip(phi, seed):
             assert lo < np.linalg.norm(p - s) / np.linalg.norm(s) < hi
 
@@ -348,19 +349,21 @@ def test_grouping_bounds_memory(grid64, vortex_background):
 
 
 def test_one_observed_stretch_holds_few_states(grid128):
-    # one unobserved stretch at 128^2 holds, in stacked states, the seed it
-    # reads, the operator's three work states and its half-state potential,
-    # the recurrence's two vectors and one accumulator, plus about a quarter
-    # state of ufunc buffers: 7.80 measured, pinned with under half a state
-    # of margin, so one more half-state array fails (a four-vector
-    # recurrence beside a stacked copy of the seed held 11.55)
+    # one unobserved stretch at 128^2 holds, in stacked states, the seed,
+    # which is the recurrence's first vector, its second vector, the
+    # operator's two work states and one accumulator, plus about a quarter
+    # state of ufunc buffers; the operator's potential lives in the buffer of
+    # veff, made outside the trace: 5.30 measured, pinned with under half a
+    # state of margin, so one more half-state array fails (a recurrence
+    # beside a copy of the seed, with a third work state and a potential of
+    # its own, held 7.80; a four-vector one 11.55)
     r = grid128.r_map
     seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(2j * grid128.phi_map)
     phi = np.stack([seed, np.conj(seed)])
     vg = vortex_gauge_field(grid128, 2)
     veff = pair(0.3 * np.exp(-r**2 / 8.0))
     peak = _traced_peak(phi, np.stack([vg, -vg]), veff, np.exp(-r**2 / 18.0), grid128, ())
-    assert peak <= 8.25 * phi.nbytes
+    assert peak <= 5.75 * phi.nbytes
 
 
 def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
@@ -453,7 +456,11 @@ def test_operator_writes_out_and_allocates_nothing(grid128):
     # within one call numpy's ufunc iterator buffers up to 8192 elements of a
     # broadcast or cast operand: a whole stacked state at 64^2, a quarter of
     # one at 128^2, where the allocating form raised the peak by 6.3 states
-    op, phi, _ = _vortex_operator(grid128, 1)
+    op, phi, aq = _vortex_operator(grid128, 1)
+    # a checkerboard puts content on both Nyquist lines, whose b0 transform
+    # comes from the saved line
+    i, j = np.indices(grid128.shape)
+    phi = phi + 0.01 * (-1.0) ** (i + j)
     before = phi.copy()
     out = np.zeros_like(phi)
     op(phi, out)
@@ -462,14 +469,25 @@ def test_operator_writes_out_and_allocates_nothing(grid128):
     # same order, gives the same values
     expected = op.local * phi
     kinetic = np.zeros_like(phi)
-    for axis, a, half_k2, minus_half_k in op.axes:
+    for axis, a, minus_k, minus_half_sk, nyq, half_s_k_nyq2, _ in op.axes:
         f0 = fft2(phi, axes=(axis,))
         f1 = fft2(a * phi, axes=(axis,))
-        b0 = ifft2(half_k2 * f0 + minus_half_k * f1, axes=(axis,))
-        b1 = ifft2(minus_half_k * f0, axes=(axis,))
+        g0 = minus_k * f0
+        g1 = (f1 + g0) * minus_half_sk
+        g1[nyq] = half_s_k_nyq2 * f0[nyq]
+        b0 = ifft2(g1, axes=(axis,))
+        b1 = ifft2(op._half_s * g0, axes=(axis,))
         expected = expected + b0 + a * b1
         kinetic = kinetic + b0 + a * b1
     assert np.array_equal(out, expected)
+    # the same terms with 1/2 k^2 written out, the Nyquist lines included
+    direct = op.local * phi
+    for axis, a, k, k_grad in ((-2, aq[:, 0], grid128.kx[:, None], grid128.kx_grad[:, None]),
+                               (-1, aq[:, 1], grid128.ky, grid128.ky_grad)):
+        f0, f1 = fft2(phi, axes=(axis,)), fft2(a * phi, axes=(axis,))
+        direct += ifft2(0.5 * k**2 * f0 - 0.5 * k_grad * f1, axes=(axis,))
+        direct += a * ifft2(-0.5 * k_grad * f0, axes=(axis,))
+    assert np.abs(out - direct).max() <= 1e-13 * np.abs(direct).max()
     # out <- H phi - out: subtracting the local product it held leaves the
     # per-axis terms alone
     out = op.local * phi
@@ -524,8 +542,9 @@ def test_rescaled_operator_is_the_chebyshev_step(grid64):
 
 
 def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_background):
-    # the recurrence works in its own vectors: a state it has yielded, and
-    # the vector it started from, keep their values while it runs on
+    # the vector it starts from is its first vector, so that is overwritten;
+    # a state it has yielded is a vector of its own and keeps its values
+    # while the recurrence runs on
     seed, aq, veff, rho = vortex_background
     op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
     lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
@@ -537,7 +556,8 @@ def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_bac
     for out in two_flavor._chebyshev_advance(op, phi, [0.05, 0.1, 0.2], mid, half,
                                              KrylovWork()):
         seen.append((out, out.copy()))
-    assert np.array_equal(phi, start)
+    assert not np.array_equal(phi, start)
+    assert not any(np.shares_memory(out, phi) for out, _ in seen)
     assert len({id(out) for out, _ in seen}) == 3
     for out, at_yield in seen:
         assert np.array_equal(out, at_yield)
