@@ -22,6 +22,7 @@ __all__ = [
     "rabi_field",
     "BeamSet",
     "lg_beams",
+    "ratio_factors",
     "xi_ratios",
 ]
 
@@ -29,7 +30,7 @@ __all__ = [
 RATIO_MAX = 0.3
 #: ratios above this are allowed but drift outside the weak-probe regime
 RATIO_WARN = 0.1
-#: control amplitudes below this trigger the division guard in xi_ratios
+#: control amplitudes below this trigger the division guard in ratio_factors
 CONTROL_FLOOR = 1e-30
 
 
@@ -169,16 +170,13 @@ def lg_beams(
     )
 
 
-def xi_ratios(beams: BeamSet):
-    """Complex dark-state ratios ``(xi1, xi2) = (Op1/Oc1, Op2/Oc2)``.
+def ratio_factors(beams: BeamSet):
+    """Each ratio ``xi_q = Op_q/Oc_q = m_q exp(i*(l_q*phi + k_q . r))`` as its
+    factors ``(m_q, l_q, k_q)``: modulus ``p_q/c_q``, probe charge ``l_q`` and
+    tilt ``k_q = kp_q - kc_q``.
 
-    The full optical phases ride along: ``xi_j = |xi_j| * exp(i*R_j)`` with
-    ``R_j = (kp_j - kc_j) . r + l_j * phi``.
-
-    Raises
-    ------
-    MaskError
-        If a control amplitude underflows the division guard anywhere.
+    Raises :class:`~vxsim.errors.MaskError` if a control amplitude underflows
+    the division guard anywhere.
     """
     for name, c in (("c1", beams.c1), ("c2", beams.c2)):
         if np.any(c < CONTROL_FLOOR):
@@ -187,7 +185,13 @@ def xi_ratios(beams: BeamSet):
                 f"control {name} amplitude below {CONTROL_FLOOR:g} at index "
                 f"({bad[0]}, {bad[1]}); xi is undefined there"
             )
-    xi1 = beams.omega_p1() / beams.omega_c1()
-    xi2 = beams.omega_p2() / beams.omega_c2()
-    return xi1, xi2
+    return (
+        (beams.p1 / beams.c1, beams.l1, np.subtract(beams.kp1, beams.kc1)),
+        (beams.p2 / beams.c2, beams.l2, np.subtract(beams.kp2, beams.kc2)),
+    )
 
+
+def xi_ratios(beams: BeamSet):
+    """Complex dark-state ratios ``(xi1, xi2) = (Op1/Oc1, Op2/Oc2)``, each the Rabi
+    field of its :func:`ratio_factors` (one complex exp); raises as that does."""
+    return tuple(rabi_field(m, l, k, beams.grid) for m, l, k in ratio_factors(beams))

@@ -18,17 +18,16 @@ moduli, opposite probe charges l1 = -l2 = l and no wavevector tilts,
 A1 = 0 and A2 = -A3 = +l grad(phi), so a flavor-2 vortex exp(+il phi) with
 charge q2 = +1 is covariantly constant.
 
-All ratio divisions are evaluated on a mask that excludes a disc of radius
+These potentials are evaluated on a mask that excludes a disc of radius
 2*max(dx, dy) around the beam axis and any point where a ratio modulus
 falls below a relative floor; excluded points hold NaN.
 
-Runs do not use these potentials.  ``flavor_fields`` gives the fields the
-reduced flavors integrate, for any beam pair: flavor 2 follows xi1 and
-flavor 3 follows xi2, each with the phase gradient grad R_q = J_q/|xi_q|^2
-of its own ratio and the geometric scalar potential of its slaved
-amplitude (Juzeliunas, Ohberg, Ruseckas & Klein, PRA 71 (2005) 053614;
-Dalibard, Gerbier, Juzeliunas & Ohberg, RMP 83 (2011) 1523).  At the
-degenerate point grad R1 = A2 and grad R2 = A3.
+Runs do not use them.  In ``flavor_fields`` each reduced flavor follows its
+own ratio, for any beam pair (Juzeliunas, Ohberg, Ruseckas & Klein, PRA 71
+(2005) 053614; Dalibard, Gerbier, Juzeliunas & Ohberg, RMP 83 (2011) 1523):
+the beams fix its phase, R_q = l_q phi + (kp_q - kc_q) . r, so its gradient
+J_q/|xi_q|^2 is taken in closed form, with no mask.  At the degenerate point
+grad R1 = A2 and grad R2 = A3.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beams import BeamSet, ratio_factors
 from .errors import MaskError, TrapSolveError
 from .evolution import qp_cancel_potential
 from .grid import SpectralGrid, gradient
@@ -145,33 +145,23 @@ def gauge_potentials(
     return EffectiveGauge(grid=grid, a1=a1, a2=a2, a3=a3, s1=s1, s2=s2, mask=mask)
 
 
-def flavor_fields(
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    rho: np.ndarray,
-    grid: SpectralGrid,
-) -> tuple[np.ndarray, np.ndarray]:
+def flavor_fields(beams: BeamSet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fields the reduced flavors integrate: ``(a, w)``, one per ratio.
 
     Flavor 2 is slaved to ``-xi1 sqrt(rho)`` and flavor 3 to
     ``-xi2 sqrt(rho)``; flavor q sees the phase gradient of its ratio,
-    ``a[q] = J_q / |xi_q|^2 = grad R_q``, shape (2, 2, nx, ny), and the
-    geometric scalar potential ``w[q] = qp_cancel_potential(grid,
-    |xi_q|^2 rho)``, shape (2, nx, ny), which cancels the kinetic energy of
-    the slaved amplitude.  ``a[q]`` is 0 where ``|xi_q|`` is below 1e-6 of
-    its own peak; no core disc is cut out.  Raises
-    :class:`~vxsim.errors.MaskError` if no point of a ratio clears that floor.
+    ``a[q] = grad R_q = l_q grad(phi) + kp_q - kc_q``, shape (2, 2, nx, ny),
+    and the geometric scalar potential ``w[q] = qp_cancel_potential(grid,
+    (p_q/c_q)^2 rho)``, shape (2, nx, ny), which cancels the kinetic energy
+    of the slaved amplitude.  Raises :class:`~vxsim.errors.MaskError` if a
+    control underflows.
     """
-    a = np.zeros((2, 2) + grid.shape)
+    grid = beams.grid
+    a = np.empty((2, 2) + grid.shape)
     w = np.empty((2,) + grid.shape)
-    for q, xi in enumerate((xi1, xi2)):
-        m = np.abs(xi)
-        live = m > _XI_FLOOR * float(m.max())
-        if not live.any():
-            raise MaskError(f"no evaluable points: ratio xi{q + 1} is zero everywhere")
-        s = m**2
-        a[q][:, live] = _phase_current(xi, grid)[:, live] / s[live]
-        w[q] = qp_cancel_potential(grid, s * rho)
+    for q, (m, l, k) in enumerate(ratio_factors(beams)):
+        a[q] = vortex_gauge_field(grid, l) + k[:, None, None]
+        w[q] = qp_cancel_potential(grid, m**2 * rho)
     return a, w
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import CONTROL_FLOOR, BeamSet, lg_amplitude, xi_ratios
+from .beams import BeamSet, lg_amplitude, ratio_factors, xi_ratios
 from .config import SimConfig, parse_config, serialize_config
 from .diagnostics import (
     LoopSpec,
@@ -127,17 +127,18 @@ def _build_beams(cfg: SimConfig, grid: SpectralGrid) -> BeamSet:
 
 
 def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
-    beams = _build_beams(cfg, grid)
+    # the background comes first so that the beams' planes, which an
+    # effective run drops before it steps, lie together above it
     rho = thomas_fermi_density(grid, cfg.physics.rho0, cfg.physics.tf_radius, cfg.physics.rim)
+    beams = _build_beams(cfg, grid)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
     if cfg.run.mode != "full":
         # the reduced branch builds its ratios and fields after the five-field
-        # branch; a ratio they could not evaluate stops the run before it steps
-        for q, (probe, control) in enumerate(((beams.p1, beams.c1), (beams.p2, beams.c2)), 1):
-            if np.any(control < CONTROL_FLOOR) or not probe.any():
-                raise MaskError(f"no evaluable points: ratio xi{q} = p{q}/c{q} is undefined "
-                                "or zero everywhere")
+        # branch; a ratio undefined (MaskError here) or zero stops the run first
+        for q, (modulus, _, _) in enumerate(ratio_factors(beams), 1):
+            if not modulus.any():
+                raise MaskError(f"no evaluable points: ratio xi{q} = p{q}/c{q} is zero")
     return _Scenario(grid=grid, beams=beams, rho=rho)
 
 
@@ -326,24 +327,25 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             out.field(f"phi{alpha}_final.vxf", Field(grid=grid, values=state.phi[alpha - 1]))
 
     if mode != "full":
-        # the stacked ratios and the fields each flavor sees: gauge
-        # (2, 2, nx, ny), scalar (2, nx, ny)
+        # the fields each flavor sees: gauge (2, 2, nx, ny), scalar (2, nx, ny)
+        a, w = flavor_fields(scenario.beams, scenario.rho)
+        # the reduced run overwrites w
+        _write_flavor_fields(out, grid, a, w)
+        # the stacked ratios, for the seed
         xi = np.stack(xi_ratios(scenario.beams))
         if mode == "effective":
             # only compare mode's analytic state reads the beams again
             scenario.beams = None
-        a, w = flavor_fields(*xi, scenario.rho, grid)
-        # the reduced run overwrites w
-        _write_flavor_fields(out, grid, a, w)
         # dark-state seed: the static background, or in compare mode the
         # ground component the full branch held at ramp end
         if mode == "compare":
             background, t0 = at_ramp_end
         else:
             background, t0 = np.sqrt(scenario.rho), 0.0
-        # the seed takes over the ratios' buffer
+        # the seed takes over the ratios' buffer; no copy of the background stays
         phi = np.negative(xi, out=xi)
         phi *= background
+        del background
         # the drift gate keeps only the seed's norms
         norms_0 = [Field(grid, p).norm() for p in phi]
         work = KrylovWork()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from vxsim.beams import (
     lg_amplitude,
     lg_beams,
     rabi_field,
+    ratio_factors,
     xi_ratios,
 )
 from vxsim.errors import MaskError, WeakProbeWarning
@@ -99,6 +102,15 @@ def test_xi_ratios_phases_and_moduli(weak_beams64, grid64):
         np.angle(xi2[live] * np.exp(1j * grid64.phi_map[live])), 0.0, atol=1e-12
     )
     assert np.allclose(np.abs(xi1), np.abs(xi2))
+    assert np.array_equal(xi2, np.conj(xi1))
+    # a tilted, unequal pair: each ratio is its probe's Rabi field over its
+    # control's
+    beams = lg_beams(grid64, l1=1, l2=-2, probe_peak=0.3, probe_waist=2.0,
+                     control_peak=10.0, control_waist=6.0, kp1=(0.3, 0.1), kc2=(-0.2, 0.0))
+    beams = replace(beams, p2=0.6 * beams.p2)
+    for xi, want in zip(xi_ratios(beams), (beams.omega_p1() / beams.omega_c1(),
+                                           beams.omega_p2() / beams.omega_c2())):
+        assert np.abs(xi - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_xi_ratios_guards_control_underflow(grid64):
@@ -107,3 +119,5 @@ def test_xi_ratios_guards_control_underflow(grid64):
     beams = BeamSet(grid=grid64, p1=zeros, p2=zeros, c1=narrow, c2=narrow, l1=1, l2=-1)
     with pytest.raises(MaskError, match="undefined"):
         xi_ratios(beams)
+    with pytest.raises(MaskError, match="undefined"):
+        ratio_factors(beams)

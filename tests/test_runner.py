@@ -4,6 +4,7 @@ import tempfile
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ import vxsim.gauge as gauge
 import vxsim.runner as runner
 import vxsim.two_flavor as two_flavor
 from vxsim.config import MODES, TRAP_MODES, parse_config
+from vxsim.fieldio import read_field
+from vxsim.grid import make_grid
 from vxsim.runner import run
 
 SMALL = """
@@ -182,8 +185,8 @@ run.ramp_time = 6.0
 
 
 def _raise_if_called(*args, **kwargs):
-    raise AssertionError("no run needs the trap solve, the paper's potentials or the "
-                         "hand-made vortex field, and a full run needs no ratio fields")
+    raise AssertionError("no run needs the trap solve, the paper's potentials or a "
+                         "spectral phase gradient, and a full run needs no ratio fields")
 
 
 @pytest.mark.parametrize("probes, l, stubbed", [
@@ -199,9 +202,9 @@ def test_non_degenerate_full_runs_load(tmp_path, monkeypatch, probes, l, stubbed
         for name, peak, charge in zip(("p1", "p2"), probes, l)
     )
     if stubbed:
-        # the reduced branch builds its fields from the ratios alone
+        # the reduced branch takes each ratio's phase gradient in closed form
         for module, name in ((runner, "gauge_potentials"), (gauge, "gauge_potentials"),
-                             (gauge, "vortex_gauge_field"), (runner, "solve_traps")):
+                             (gauge, "_phase_current"), (runner, "solve_traps")):
             monkeypatch.setattr(module, name, _raise_if_called)
         held = run(parse_config(text.replace("run.mode = full", "run.mode = effective")),
                    out_dir=tmp_path / "held")
@@ -263,6 +266,15 @@ def test_reduced_branch_tracks_any_pair(tmp_path, pair, tilted):
                "eff_a3_x.vxf", "eff_a3_y.vxf", "eff_w3.vxf"}
     assert exports <= names
     assert not any(name.startswith("gauge_") for name in names)
+    # each flavor's gauge field is its probe's l grad(phi) plus the tilt
+    grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
+    for alpha, probe, control in ((2, cfg.p1, cfg.c1), (3, cfg.p2, cfg.c2)):
+        want = gauge.vortex_gauge_field(grid, probe.l)
+        want[0] += probe.kx - control.kx
+        want[1] += probe.ky - control.ky
+        for comp, axis in enumerate("xy"):
+            got = read_field(tmp_path / "out" / f"eff_a{alpha}_{axis}.vxf").values
+            assert np.array_equal(got, want[comp])
 
 
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
@@ -273,6 +285,8 @@ SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
                  "MaskError", id="zero-probes-mask"),
     pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nrun.mode = compare\n",
                  "MaskError", id="zero-probes-mask-compare"),
+    pytest.param(SHORT + "beam.p2.peak = 0\nrun.mode = effective\n",
+                 "MaskError", id="zero-p2-mask"),
     pytest.param(SHORT + "beam.p1.peak = 0\nbeam.p2.peak = 0\nphysics.traps = none\n"
                  "run.mode = full\n", "PhaseUndefinedError", id="zero-probes-winding"),
     pytest.param("grid.nx = 16\ngrid.ny = 16\nphysics.tf_radius = 3.0\nrun.mode = full\n"
@@ -294,8 +308,8 @@ def test_setup_failures_are_exit_2(tmp_path, text, cause):
     rep = run(parse_config(text), out_dir=tmp_path / "out")
     assert rep.exit_code == 2
     assert cause in rep.values["error"]
-    # no run gets as far as the end of the five-field branch
-    assert not list((tmp_path / "out").glob("phi*_final.vxf"))
+    # no run gets as far as the end of either branch
+    assert not list((tmp_path / "out").glob("*phi*_final.vxf"))
 
 
 def test_non_finite_config_built_in_code_is_exit_2(tmp_path):

@@ -95,11 +95,12 @@ def test_reduced_seed_is_stationary_without_interaction(grid64, l, bound):
     # at u = 0 each flavor's geometric scalar potential W cancels the kinetic
     # energy of its slaved amplitude, so the dark-state seed -xi_q sqrt(rho)
     # of the acceptance beams barely moves over T = 2 (125 steps of 0.016):
-    # by an L2-relative 1.60e-2 at l = 1 and 9.8e-4 at l = 2, against 0.566
+    # by an L2-relative 1.60e-2 at l = 1 and 9.7e-4 at l = 2, against 0.566
     # and 0.605 with W zeroed
     rho = thomas_fermi_density(grid64, 1.0, 5.0, 0.05)
-    xi = xi_ratios(lg_beams(grid64, l, -l, 0.8, 2.0, 12.0, 6.0))
-    a, w = flavor_fields(*xi, rho, grid64)
+    beams = lg_beams(grid64, l, -l, 0.8, 2.0, 12.0, 6.0)
+    xi = xi_ratios(beams)
+    a, w = flavor_fields(beams, rho)
     seed = -np.stack(xi) * np.sqrt(rho)
     for veff, lo, hi in ((w, 0.0, bound), (np.zeros_like(w), 0.5, np.inf)):
         # the call overwrites the seed and the potential it is handed
