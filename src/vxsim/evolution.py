@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fft2, ifft2
-from .beams import BeamSet, xi_ratios
+from .beams import BeamSet, rabi_field, ratio_factors
 from .errors import AdiabaticityWarning, DivergenceError
 from .grid import SpectralGrid, laplacian
 
@@ -176,10 +176,13 @@ class SplitStepper:
     observed step, which is the last step and each step count in
     ``observe``; ``closed`` says whether the latest step was one.
 
-    Built once per run from the beams: holds both kinetic phases, each Rabi
-    field once, scaled in place by ``-i*dt`` (blocks derive the conjugate
-    couplings), and the local series' work arrays, sized from the beams'
-    grid, so that a step makes no field-sized temporaries.  The ramp enters
+    Built once per run from the beams: holds the full kinetic phase, each
+    Rabi field once, scaled in place by ``-i*dt`` (blocks derive the
+    conjugate couplings), and the local series' work arrays, sized from the
+    beams' grid, so that a fused step makes no field-sized temporaries.  The
+    half kinetic phase is built from the grid only by a step that applies
+    it (the first step, and each step that opens or closes on an observed
+    one), and no step keeps it across the local series.  The ramp enters
     each step as a scalar ``scale`` on the probe pair.  The mean field uses
     the total density of the three lower components at the pre-step time.
     Steps transform ``state.phi`` in place and overwrite its buffer; a state
@@ -196,9 +199,8 @@ class SplitStepper:
         self.index = 0
         self.closed = True
         self.terms = 0
-        k2 = beams.grid.k2
-        self._half = np.exp(-0.25j * k2 * dt)
-        self._full = np.exp(-0.5j * k2 * dt)
+        self._grid = beams.grid
+        self._full = self._kinetic_phase(-0.5j)
         # entries (3, 0), (4, 0), (3, 1), (4, 2) of -i*dt*M, scaled in place;
         # each block derives their conjugates at (0, 3), (0, 4), (1, 3), (2, 4)
         self._probes = (beams.omega_p1(), beams.omega_p2())
@@ -231,13 +233,21 @@ class SplitStepper:
         self._check_shape(state)
         if self.index >= self.n_steps:
             raise ValueError(f"all {self.n_steps} steps of this stepper are taken")
-        self._kick(state, self._half if self.closed else self._full)
+        self._kick(state, self._kinetic_phase(-0.25j) if self.closed else self._full)
         self.local(state, scale)
         self.closed = self.index + 1 in self._observed
         if self.closed:
-            self._kick(state, self._half)
+            self._kick(state, self._kinetic_phase(-0.25j))
         state.t += self.dt
         self.index += 1
+
+    def _kinetic_phase(self, coef: complex) -> np.ndarray:
+        """``exp(coef * k2 * dt)``, formed in the plane it returns; casting
+        ``k2`` into that plane first leaves the products no cast buffer."""
+        phase = self._grid.k2.astype(np.complex128)
+        phase *= coef
+        phase *= self.dt
+        return np.exp(phase, out=phase)
 
     def _kick(self, state: MatterState, phase: np.ndarray):
         spec = fft2(state.phi, overwrite_x=True)
@@ -379,7 +389,7 @@ def dark_state_error(state: MatterState, beams: BeamSet, scale: float = 1.0) -> 
     The second meta-stable component is checked implicitly through the
     excited populations; this metric tracks the loaded vortex flavor.
     """
-    xi1, _ = xi_ratios(beams)
+    xi1 = rabi_field(*ratio_factors(beams)[0], beams.grid)
     target = -scale * xi1 * state.phi[0]
     diff = state.phi[1] - target
     num = state.grid.integrate(np.abs(diff) ** 2)

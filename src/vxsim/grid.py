@@ -50,7 +50,8 @@ class SpectralGrid:
     kx, ky : ndarray
         1-D angular wavenumbers in FFT layout, Nyquist assigned negative.
     k2 : ndarray
-        ``kx^2 + ky^2`` on the 2-D grid (full spectrum, used for Laplacians).
+        ``kx^2 + ky^2`` on the 2-D grid (full spectrum, used for Laplacians),
+        computed from ``kx`` and ``ky`` on each read.
     kx_grad, ky_grad : ndarray
         1-D wavenumbers with the Nyquist bin zeroed.  Odd-order spectral
         derivatives use these so that derivatives of real fields stay
@@ -60,7 +61,9 @@ class SpectralGrid:
         gives them, but read-only broadcast views of the axes (a zero
         stride along the other axis).
     r_map, phi_map : ndarray
-        Polar radius and azimuth ``atan2(y, x)`` about the box center.
+        Polar radius and azimuth ``atan2(y, x)`` about the box center,
+        computed from ``x`` and ``y`` on each read: only set-up reads the
+        2-D maps, so the grid holds its 1-D axes alone.
     """
 
     nx: int
@@ -77,9 +80,6 @@ class SpectralGrid:
     ky_grad: np.ndarray = field(init=False, repr=False, compare=False)
     xm: np.ndarray = field(init=False, repr=False, compare=False)
     ym: np.ndarray = field(init=False, repr=False, compare=False)
-    k2: np.ndarray = field(init=False, repr=False, compare=False)
-    r_map: np.ndarray = field(init=False, repr=False, compare=False)
-    phi_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_pow2(self.nx) and _is_pow2(self.ny)):
@@ -125,11 +125,17 @@ class SpectralGrid:
         object.__setattr__(self, "xm", xm)
         object.__setattr__(self, "ym", ym)
 
-        kxm, kym = np.meshgrid(kx, ky, indexing="ij")
-        object.__setattr__(self, "k2", kxm ** 2 + kym ** 2)
+    @property
+    def k2(self) -> np.ndarray:
+        return self.kx[:, None] ** 2 + self.ky ** 2
 
-        object.__setattr__(self, "r_map", np.hypot(xm, ym))
-        object.__setattr__(self, "phi_map", np.arctan2(ym, xm))
+    @property
+    def r_map(self) -> np.ndarray:
+        return np.hypot(self.xm, self.ym)
+
+    @property
+    def phi_map(self) -> np.ndarray:
+        return np.arctan2(self.ym, self.xm)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,8 +166,9 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     def norm_sq(self) -> float:
-        """Integral of |f|^2 over the box."""
-        return self.grid.integrate(np.abs(self.values) ** 2)
+        """Integral of |f|^2 over the box, squared in one real plane."""
+        d = np.abs(self.values)
+        return self.grid.integrate(np.multiply(d, d, out=d))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))

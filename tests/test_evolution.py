@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vxsim.evolution as evolution
+from vxsim._fft import fft2, ifft2
 from vxsim.beams import BeamSet, lg_beams, xi_ratios
 from vxsim.errors import AdiabaticityWarning, DivergenceError
 from vxsim.evolution import (
@@ -426,17 +427,52 @@ def _traced(build):
     return result, held - before, peak - before
 
 
+def _beams128(grid128):
+    return lg_beams(grid128, l1=1, l2=-1, probe_peak=0.3, probe_waist=2.0,
+                    control_peak=10.0, control_waist=6.0)
+
+
 def test_stepper_holds_each_coupling_once(grid128):
-    # two kinetic phases, four -i*dt*Omega fields and the block buffers
-    # (25 block planes of a quarter plane each) make 12.3 complex planes;
-    # held conjugate copies made 15.8, and building them beside the raw
-    # fields peaked at 19.8.  Margin: half a plane.
-    beams = lg_beams(grid128, l1=1, l2=-1, probe_peak=0.3, probe_waist=2.0,
-                     control_peak=10.0, control_waist=6.0)
-    plane = grid128.k2.size * 16
+    # the full kinetic phase, four -i*dt*Omega fields and the block buffers
+    # (25 block planes of a quarter plane each) make 11.3 complex planes;
+    # a held half phase made 12.3, held conjugate copies 15.8, and building
+    # them beside the raw fields peaked at 19.8.  Margin: half a plane.
+    beams = _beams128(grid128)
+    plane = 128 * 128 * 16
     _, held, peak = _traced(lambda: SplitStepper(beams, 0.004))
-    assert held / plane < 12.75
-    assert peak / plane < 12.75
+    assert held / plane < 11.75
+    assert peak / plane < 11.75
+
+
+def test_observed_step_keeps_no_half_phase(grid128):
+    # each half kick builds its phase in one complex plane, k2 (half a
+    # plane) cast into it, and drops it with the kick
+    stepper = SplitStepper(_beams128(grid128), 0.004, n_steps=2, observe=(1,))
+    state = _blank_state(grid128)
+    _, held, peak = _traced(lambda: stepper.advance(state))
+    assert stepper.closed
+    assert held / (128 * 128 * 16) < 0.1
+    assert peak / (128 * 128 * 16) < 1.75
+
+
+def test_kicks_apply_the_closed_form_phases(uniform_beams, grid16):
+    # with no couplings, traps or mean field the local step leaves phi as it
+    # is, so three steps are kicks by exp(-i*k2*dt/4), exp(-i*k2*dt/2) twice
+    # and exp(-i*k2*dt/4), bit for bit, whether built per step or per run
+    dt = 0.004
+    rng = np.random.default_rng(6)
+    state = _blank_state(grid16)
+    state.phi = rng.standard_normal(state.phi.shape) + 1j * rng.standard_normal(state.phi.shape)
+    ref = state.phi.copy()
+    stepper = SplitStepper(uniform_beams(grid16), dt, n_steps=3)
+    for _ in range(3):
+        stepper.advance(state)
+    kxm, kym = np.meshgrid(grid16.kx, grid16.ky, indexing="ij")
+    k2 = kxm ** 2 + kym ** 2
+    half, full = np.exp(-0.25j * k2 * dt), np.exp(-0.5j * k2 * dt)
+    for phase in (half, full, full, half):
+        ref = ifft2(fft2(ref) * phase)
+    assert np.array_equal(state.phi, ref)
 
 
 def test_norm_and_populations_square_one_component_at_a_time(grid64):
