@@ -8,6 +8,12 @@ potentials), and maps slowed probe pulses onto out-coupled vortex matter
 waves.
 """
 
+# A bare ``import scipy`` loads no scipy submodule.  It stays only because
+# the benchmark worker reads ``sys.modules["scipy"].__version__`` after
+# importing vxsim (bench/worker.py:152); ROADMAP item 3 removes that read,
+# and this import with it.  Nothing in vxsim uses scipy at import time.
+import scipy  # noqa: F401
+
 from ._fft import get_workers, set_workers
 from .beams import BeamSet, lg_amplitude, lg_beams, rabi_field, xi_ratios
 from .config import SimConfig, default_config, parse_config, serialize_config

@@ -221,7 +221,9 @@ class SplitStepper:
         self._tmp = np.empty((rows, ny), dtype=np.complex128)
         self._rho_low = np.empty((rows, ny))
         self._real = np.empty((5, rows, ny))
-        self._diag = np.empty((5, rows, ny), dtype=np.complex128)
+        # -i*dt times the real diagonal: each block writes only the
+        # imaginary part, so no float-to-complex cast buffer
+        self._diag = np.zeros((5, rows, ny), dtype=np.complex128)
         self._scaled = np.empty((6, rows, ny), dtype=np.complex128)
 
     def _check_shape(self, state: MatterState):
@@ -266,7 +268,11 @@ class SplitStepper:
         """
         self._check_shape(state)
         phi = state.phi
-        ref = float(np.max([np.abs(phi[:, b], out=self._real).max() for b in self._blocks]))
+        # one contiguous component block at a time: abs of a strided one
+        # goes through a ufunc buffer
+        scratch = self._real[0]
+        ref = float(np.max([np.abs(phi[c, b], out=scratch).max()
+                            for c in range(phi.shape[0]) for b in self._blocks]))
         if not np.isfinite(ref):
             # NaN never satisfies the convergence test; report the real problem
             raise DivergenceError("non-finite field values", step=self.index)
@@ -285,8 +291,11 @@ class SplitStepper:
                 rho_low += real[0]
         np.add(state.traps[:, block], self._eps[:, None, None], out=real)
         np.multiply(state.u, rho_low, out=rho_low)
-        real[:3] += rho_low
-        np.multiply(real, -1j * self.dt, out=diag)
+        # level by level: broadcasting rho_low over real[:3] goes through a
+        # ufunc buffer
+        for level in real[:3]:
+            level += rho_low
+        np.multiply(real, -self.dt, out=diag.imag)
         p1, p2, p1c, p2c, c1c, c2c = self._scaled
         for out, a in zip((p1, p2), self._probes):
             np.multiply(scale, a[block], out=out)

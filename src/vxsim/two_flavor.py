@@ -30,10 +30,13 @@ Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
 propagated by a Chebyshev expansion of the operator exponential (Tal-Ezer &
 Kosloff, J. Chem. Phys. 81 (1984) 3967): two vectors updated in place, the
 first of them the buffer of the state it starts from, no
-reorthogonalization and no step control.  Its vectors do not depend on the
-time, so one recurrence serves up to ``_GROUP`` consecutive observed steps,
-each summed into its own accumulator; the next group starts from the last
-state of the one before.  The expansion needs the spectrum's bounds, found
+reorthogonalization and no step control.  Its Bessel coefficients come
+from Miller's backward recurrence, normalized by the sum rule
+J_0 + 2 sum J_2k = 1 (Abramowitz & Stegun 9.1.46, 9.12), so the module
+needs numpy alone.  The expansion's vectors do not depend on the time, so
+one recurrence serves up to ``_GROUP`` consecutive observed steps, each
+summed into its own accumulator; the next group starts from the last state
+of the one before.  The expansion needs the spectrum's bounds, found
 once per call: the least local potential bounds it below exactly, and a
 short Lanczos run plus its residual bounds it above (Zhou & Li, Linear
 Algebra Appl. 435 (2011) 480).  Both three-term recurrences take one
@@ -48,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from ._fft import fft2, ifft2
 from .errors import CoreSingularityError, DivergenceError
@@ -272,6 +274,46 @@ def _flavor_norms(phi: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(p) for p in phi])
 
 
+def _bessel_j(n: int, z: float) -> np.ndarray:
+    """``J_0(z), ..., J_(n-1)(z)`` by Miller's backward recurrence
+    (Abramowitz & Stegun 9.1.27, 9.12).
+
+    ``J_(k-1) = (2k/z) J_k - J_(k+1)`` runs down from ``J_(n+20) = 1``,
+    ``J_(n+21) = 0``; downward it is stable, so the trial values are
+    proportional to the Bessel functions up to an error that the start's
+    distance past the last order makes negligible.  The sum rule
+    ``J_0 + 2 (J_2 + J_4 + ...) = 1`` (9.1.46) normalizes them.  Whenever a
+    value passes 1e200 every value so far is scaled by 1e-200, so nothing
+    overflows (the highest orders underflow to 0 instead).  ``z = 0`` gives
+    ``J_0 = 1`` and zeros exactly.
+    """
+    j = np.zeros(n)
+    if z == 0.0:
+        j[0] = 1.0
+        return j
+    later, cur, total = 0.0, 1.0, 0.0  # J_(k+1), J_k and the sum rule's part
+    for k in range(n + 20, -1, -1):
+        if abs(cur) > 1e200:
+            later, cur, total = later * 1e-200, cur * 1e-200, total * 1e-200
+            j[k + 1:] *= 1e-200
+        if k < n:
+            j[k] = cur
+        if k % 2 == 0:
+            total += cur if k == 0 else 2.0 * cur
+        later, cur = cur, 2.0 * k / z * cur - later
+    j /= total
+    return j
+
+
+def _bessel_table(z: np.ndarray) -> np.ndarray:
+    """``J_k(z_i)`` for each of the increasing arguments ``z``, one row each,
+    for ``k`` from 0 to past the last order whose factor is above 1e-16 at
+    ``z[-1]``: that order lies near ``z + 12 z^(1/3)``, and the length
+    ``z + 20 z^(1/3) + 40`` covers it."""
+    n = int(z[-1] + 20.0 * z[-1] ** (1.0 / 3.0)) + 40
+    return np.array([_bessel_j(n, float(zi)) for zi in z])
+
+
 def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
                        work: KrylovWork):
     """Yield ``exp(-i t H) phi`` for each of the increasing ``times``, in
@@ -279,9 +321,10 @@ def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
     ``op`` applies ``Y = 2 X`` (:meth:`_FlavorOperator.rescale`).
 
     The expansion is
-    ``exp(-i mid t) sum_k (2 - [k = 0]) (-i)^k J_k(half t) T_k(X)``; the
-    Bessel factors fall off faster than exponentially once ``k > half t``,
-    and a time's sum stops where they drop below 1e-16.  The vectors
+    ``exp(-i mid t) sum_k (2 - [k = 0]) (-i)^k J_k(half t) T_k(X)``, with
+    the Bessel factors from Miller's backward recurrence (:func:`_bessel_j`);
+    they fall off faster than exponentially once ``k > half t``, and a
+    time's sum stops where they drop below 1e-16.  The vectors
     ``T_k(X) phi`` do not depend on ``t``, so one three-term recurrence
     serves every time (Kosloff, Annu. Rev. Phys. Chem. 45 (1994) 145), each
     with its own accumulator.  A step ``T_(k+1) = Y T_k - T_(k-1)`` is one
@@ -291,10 +334,8 @@ def _chebyshev_advance(op, phi: np.ndarray, times, mid: float, half: float,
     as soon as its sum is complete, while the recurrence runs on for the
     later times; it is not touched after that.
     """
-    z = half * np.asarray(times, dtype=float)
-    # the last term above 1e-16 lies near z + 12 z^(1/3); this length covers it
-    k = np.arange(int(z[-1] + 20.0 * z[-1] ** (1.0 / 3.0)) + 40)
-    coef = jv(k, z[:, None])
+    coef = _bessel_table(half * np.asarray(times, dtype=float))
+    k = np.arange(coef.shape[1])
     above = np.abs(coef) >= 1e-16
     # terms per time: a later time never needs fewer than an earlier one
     n_terms = np.maximum.accumulate([max(2, int(np.nonzero(row)[0][-1]) + 1) for row in above])

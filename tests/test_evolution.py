@@ -455,6 +455,20 @@ def test_observed_step_keeps_no_half_phase(grid128):
     assert peak / (128 * 128 * 16) < 1.75
 
 
+def test_local_series_makes_no_ufunc_buffers(grid128):
+    # abs of the strided phi[:, block] in the norm scan and the
+    # float-to-complex multiply into the diagonal each went through a ufunc
+    # buffer of half a plane (0.507 planes peak); the scan now takes one
+    # contiguous component block at a time and the diagonal is written
+    # into its imaginary part
+    stepper = SplitStepper(_beams128(grid128), 0.004)
+    state = _loaded_state(grid128, 0.1)
+    _, held, peak = _traced(lambda: stepper.local(state, 0.5))
+    assert stepper.terms > 0
+    assert held / (128 * 128 * 16) < 0.05
+    assert peak / (128 * 128 * 16) < 0.05
+
+
 def test_kicks_apply_the_closed_form_phases(uniform_beams, grid16):
     # with no couplings, traps or mean field the local step leaves phi as it
     # is, so three steps are kicks by exp(-i*k2*dt/4), exp(-i*k2*dt/2) twice

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vxsim._fft import fft2, ifft2
+from vxsim._fft import fft2, get_workers, ifft2, set_workers
 from vxsim.errors import GridSizeError
 from vxsim.grid import Field, gradient, laplacian, make_grid
 
@@ -123,6 +123,51 @@ def test_norm_sq_squares_in_one_real_plane(grid128):
     # abs and its square as two temporaries made a whole complex plane
     assert peak / (128 * 128 * 16) < 0.55
     assert norm_sq == grid128.integrate(np.abs(values) ** 2)
+
+
+@pytest.mark.parametrize("shape, axes", [((5, 128, 128), (-2, -1)),
+                                         ((2, 2, 128, 128), (-2,)),
+                                         ((2, 2, 128, 128), (-1,))])
+def test_in_place_transforms_match_out_of_place_numpy(shape, axes):
+    # the wrappers write one 1-D transform per axis into the input, never
+    # through np.fft.ifft2(a, out=...), which was once seen to return wrong
+    # values; the result must equal an out-of-place transform
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for transform, reference in ((fft2, np.fft.fftn), (ifft2, np.fft.ifftn)):
+        expected = reference(a, axes=axes)
+        x = a.copy()
+        result, _, peak = _traced(lambda: transform(x, overwrite_x=True, axes=axes))
+        assert result is x
+        assert peak < 0.01 * x.nbytes
+        assert np.abs(result - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_transforms_keep_their_input_unless_told():
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal((2, 16, 8))
+    cplx = real + 1j * rng.standard_normal((2, 16, 8))
+    for transform, reference in ((fft2, np.fft.fftn), (ifft2, np.fft.ifftn)):
+        # real input cannot hold its transform, overwrite_x or not
+        for a, overwrite in ((real, False), (real, True), (cplx, False)):
+            kept = a.copy()
+            result = transform(a, overwrite_x=overwrite)
+            assert result.dtype == np.complex128
+            assert not np.shares_memory(result, a)
+            assert np.array_equal(a, kept)
+            expected = reference(a, axes=(-2, -1))
+            assert np.abs(result - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_transforms_run_on_one_worker():
+    # numpy.fft has no worker threads: a count other than 1 is refused, not
+    # accepted and ignored
+    set_workers(1)
+    assert get_workers() == 1
+    for n in (0, 2, 8):
+        with pytest.raises(ValueError, match="one thread"):
+            set_workers(n)
+    assert get_workers() == 1
 
 
 def test_one_axis_transforms_match_numpy():

@@ -97,7 +97,8 @@ def test_delay_table_oscillatory_profile_raises():
 IMPORT_PROBE = """
 import sys
 import vxsim
-heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "scipy.integrate",
+         "scipy.optimize", "scipy.sparse", "numpy.f2py", "numpy.testing")
 print(",".join(m for m in heavy if m in sys.modules))
 p = vxsim.outcoupling.OutcouplingParams(
     g1=8.0, g2=8.0, omega0_1=4.0, omega0_2=4.0, n=1.0, v0=0.04, c=1.0, length=1.0)
@@ -107,7 +108,8 @@ print(repr(vxsim.outcoupling.delay(p, 1)))
 
 def test_import_loads_no_integrate_or_linalg():
     # every run is a fresh process, so what ``import vxsim`` loads is paid by
-    # each run; scipy.integrate is loaded only when a delay is integrated
+    # each run: numpy and a bare ``import scipy``, no scipy submodule;
+    # scipy.integrate is loaded only when a delay is integrated
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
