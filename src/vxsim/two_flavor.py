@@ -39,15 +39,18 @@ summed into its own accumulator; the next group starts from the last state
 of the one before.  The expansion needs the spectrum's bounds, found
 once per call: the least local potential bounds it below exactly, and a
 short Lanczos run plus its residual bounds it above (Zhou & Li, Linear
-Algebra Appl. 435 (2011) 480).  Both three-term recurrences take one
-operator application, ``out <- H phi - out``, as their step; it works in
-two states of its own and builds its local potential in the buffer of
-``veff``.  Per-flavor norms are conserved to machine precision; a norm that
-moves by more than ``_NORM_TOL`` means the upper bound was too low.
+Algebra Appl. 435 (2011) 480).  The Lanczos start is drawn from the stdlib
+generator with a fixed seed, so a run loads no ``numpy.random`` either.
+Both three-term recurrences take one operator application,
+``out <- H phi - out``, as their step; it works in two states of its own
+and builds its local potential in the buffer of ``veff``.  Per-flavor
+norms are conserved to machine precision; a norm that moves by more than
+``_NORM_TOL`` means the upper bound was too low.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,16 +239,21 @@ def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
     ``lo = op.lo`` is exact: the kinetic and gauge part is
     1/2 (P - a)^H (P - a) + 1/2 (k^2 - k_grad^2) >= 0 on the grid.  ``hi`` is
     the top Ritz value of ``_BOUND_STEPS`` Lanczos steps (two vectors, no
-    reorthogonalization) from a fixed random start, plus the residual norm
-    of its Ritz pair.  The Ritz pair comes from a dense numpy ``eigh`` of the
-    ``_BOUND_STEPS`` x ``_BOUND_STEPS`` tridiagonal Lanczos matrix.
+    reorthogonalization) from a fixed pseudo-random start, plus the residual
+    norm of its Ritz pair.  The start's real and imaginary parts are uniform
+    in [-1/2, 1/2), drawn from the stdlib ``random.Random(0)``, which numpy
+    imports anyway, so a run loads no ``numpy.random``.  The Ritz pair comes
+    from a dense numpy ``eigh`` of the ``_BOUND_STEPS`` x ``_BOUND_STEPS``
+    tridiagonal Lanczos matrix.
     """
-    shape = op.local.shape
-    rng = np.random.default_rng(0)
-    # filled part by part: standard_normal(out=v.real) needs a contiguous v.real
-    v = np.empty(shape, dtype=np.complex128)
-    v.real = rng.standard_normal(shape)
-    v.imag = rng.standard_normal(shape)
+    v = np.empty(op.local.shape, dtype=np.complex128)
+    rng = random.Random(0)
+    # 53 random bits per part, one row of the interleaved float view at a
+    # time, so the draw makes no state-sized temporary
+    for row in v.view(np.float64).reshape(-1, 2 * v.shape[-1]):
+        bits = np.frombuffer(rng.randbytes(8 * row.size), dtype="<u8") >> 11
+        np.multiply(bits, 2.0**-53, out=row)
+        row -= 0.5
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     prod = op.product

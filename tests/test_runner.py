@@ -1,8 +1,12 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,28 @@ def test_reduced_branch_calls_through_traced_module_names(tmp_path, monkeypatch)
     assert calls["evolve_two_flavor"] == calls["eigh_tridiagonal"] == 1
     assert calls["fft2"] == calls["ifft2"] == 2 * matvecs
     assert axes == {(-2,), (-1,)}
+
+
+REDUCED_RUN_PROBE = """
+import sys
+import warnings
+from vxsim.config import parse_config
+from vxsim.runner import run
+warnings.simplefilter("ignore")
+print(run(parse_config(sys.argv[1]), out_dir=sys.argv[2]).exit_code)
+print(",".join(m for m in ("numpy.random", "secrets", "hmac") if m in sys.modules))
+"""
+
+
+def test_reduced_run_loads_no_numpy_random(tmp_path):
+    # every run is a fresh process: the Lanczos start of the spectral bound
+    # comes from the stdlib generator, so numpy.random, with its nine
+    # extension modules and secrets and hmac, is never imported
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    text = SMALL + "run.mode = effective\nrun.n_steps = 9\n"
+    out = subprocess.run([sys.executable, "-c", REDUCED_RUN_PROBE, text, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["0", ""]
 
 
 def test_series_divergence_names_its_entry_not_dt(tmp_path):

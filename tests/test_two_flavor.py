@@ -364,10 +364,12 @@ def test_one_observed_stretch_holds_few_states(grid128):
     # which is the recurrence's first vector, its second vector, the
     # operator's two work states and one accumulator, plus about a quarter
     # state of ufunc buffers; the operator's potential lives in the buffer of
-    # veff, made outside the trace: 5.30 measured, pinned with under half a
-    # state of margin, so one more half-state array fails (a recurrence
-    # beside a copy of the seed, with a third work state and a potential of
-    # its own, held 7.80; a four-vector one 11.55)
+    # veff, made outside the trace: 5.30 measured, the same with the Lanczos
+    # start drawn row by row from the stdlib generator as from numpy's,
+    # pinned with under half a state of margin, so one more half-state array
+    # fails (a recurrence beside a copy of the seed, with a third work state
+    # and a potential of its own, held 7.80; a four-vector one 11.55; the
+    # stdlib start drawn one flavor plane at a time 5.79, all at once 6.29)
     r = grid128.r_map
     seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(2j * grid128.phi_map)
     phi = np.stack([seed, np.conj(seed)])
@@ -419,6 +421,25 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     assert advance.matvecs <= z + 12.0 * z ** (1.0 / 3.0) + 40
     ex = ifft2(np.exp(-1j * t * exact) * fft2(psi0))
     assert np.abs(out - ex).max() < 1e-12
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_spectral_bounds_enclose_dense_spectrum(grid16, l):
+    # a vortex's gauge field and a non-uniform potential couple every k, so
+    # the exact extremes come from the dense matrix of the operator; hi
+    # passes the top by 2.1e-5 (l = 1) and 4.8e-5 (l = 2) of it, pinned at
+    # 1e-4
+    op, phi, _ = _vortex_operator(grid16, l)
+    basis = np.zeros(phi.size, dtype=complex)
+    h = np.empty((phi.size, phi.size), dtype=complex)
+    for j in range(phi.size):
+        basis[j] = 1.0
+        h[:, j] = _apply(op, basis.reshape(phi.shape)).ravel()
+        basis[j] = 0.0
+    exact = np.linalg.eigvalsh(h)
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    assert lo <= exact[0]
+    assert exact[-1] <= hi <= (1.0 + 1e-4) * exact[-1]
 
 
 def test_eigh_tridiagonal_matches_scipy():
