@@ -24,12 +24,14 @@ grid = make_grid(64, 64, 16.0, 16.0)
 beams = lg_beams(grid, 1, -1, 0.8, 2.0, 12.0, 6.0)
 rho = thomas_fermi_density(grid, 1.0, 5.0)
 
-# engineered traps, as runs build them: V1 cancels the background quantum
-# pressure, and the slaved levels need no trap of their own
+# engineered traps, as runs build them: V1 cancels the background's quantum
+# pressure and its own mean field u*rho, and the slaved levels need no trap
+# of their own
+u = 0.02
 traps = np.zeros((5,) + grid.shape)
-traps[0] = qp_cancel_potential(grid, rho)
+traps[0] = qp_cancel_potential(grid, rho) - u * rho
 
-state = initial_state(grid, rho, traps, u=0.02)
+state = initial_state(grid, rho, traps, u=u)
 ramp = Ramp(5.0)
 
 print("step      t     P1        P2        P3        P4+P5")

@@ -144,22 +144,22 @@ def loop_integral(vec: np.ndarray, grid: SpectralGrid, loop: LoopSpec) -> float:
     return float(np.sum((-ax * np.sin(theta) + ay * np.cos(theta)) * tang))
 
 
-def analytic_state(beams: BeamSet, rho: np.ndarray, u: float, t: float) -> tuple[Field, Field]:
-    """The closed-form dark-state flavor fields on a stationary background.
+def analytic_state(beams: BeamSet, rho: np.ndarray) -> tuple[Field, Field]:
+    """The closed-form dark-state flavor fields on a background held still
+    against its own mean field:
 
-        phi_2 = -xi1 * sqrt(rho) * exp(-i t U rho),
-        phi_3 = -xi2 * sqrt(rho) * exp(-i t U rho),
+        phi_2 = -xi1 * sqrt(rho),
+        phi_3 = -xi2 * sqrt(rho),
 
     each flavor carrying its own probe/control ratio, phase included.
-    Restricted to untilted beams: with wavevector tilts the dynamical phase
-    integrates along moving characteristics that leave the periodic box, so
-    comparisons are not defined; a tilted BeamSet raises ``ValueError``.
+    Restricted to untilted beams: with wavevector tilts the slaved fields
+    move along characteristics that leave the periodic box, so comparisons
+    are not defined; a tilted BeamSet raises ``ValueError``.
     """
     for name in ("kp1", "kp2", "kc1", "kc2"):
         if any(abs(k) != 0.0 for k in getattr(beams, name)):
             raise ValueError("analytic_state requires zero beam wavevector tilts")
-    rho = np.asarray(rho, dtype=float)
-    slaved = -np.sqrt(rho) * np.exp(-1j * t * u * rho)
+    slaved = -np.sqrt(np.asarray(rho, dtype=float))
     return tuple(Field(grid=beams.grid, values=xi * slaved) for xi in xi_ratios(beams))
 
 

@@ -121,11 +121,12 @@ def thomas_fermi_density(grid: SpectralGrid, rho0: float, radius: float, rim: fl
 def qp_cancel_potential(grid: SpectralGrid, rho: np.ndarray):
     """Trap that makes ``sqrt(rho)`` kinetic-free: ``laplacian(sqrt(rho))/(2*sqrt(rho))``.
 
-    With this as V1, the ground component evolves as
-    ``sqrt(rho) * exp(-i*u*rho*t)`` until interaction-driven transport sets
-    in, which keeps the background stationary on loading timescales.  The
-    ratio is zeroed where ``rho`` is below 1e-8 of its peak (the value is
-    irrelevant there and the quotient is noise).
+    Runs set V1 to this minus ``u*rho``, which also cancels the
+    background's own mean field (a Thomas-Fermi cloud is stationary where
+    V + u*rho is constant), so the ground component stands still as
+    ``sqrt(rho)`` with no ``exp(-i*u*rho*t)`` phase.  The ratio is zeroed
+    where ``rho`` is below 1e-8 of its peak (the value is irrelevant there
+    and the quotient is noise).
     """
     rho = np.asarray(rho, dtype=float)
     amp = np.sqrt(rho)

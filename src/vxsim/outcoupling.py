@@ -168,21 +168,6 @@ class EnvelopeHistory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def sample(self, t: float) -> np.ndarray:
-        """Linear interpolation between recorded frames."""
-        times = self.times
-        if t < times[0]:
-            raise ValueError(
-                f"requested time {t:.6g} precedes recorded history start {times[0]:.6g}"
-            )
-        if t > times[-1]:
-            raise ValueError(f"requested time {t:.6g} is past recorded history end")
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        if k >= len(times) - 1:
-            return self.values[-1].copy()
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
 
 def output_map(
     history: EnvelopeHistory,

@@ -10,11 +10,11 @@ Modes:
 The first three share one pipeline: the mode only chooses which of the
 five-field and reduced branches run, and whether the comparisons follow.
 
-Exit codes: 0 success, 2 configuration error or any other simulator error
-(:class:`~vxsim.errors.VxsimError`), 3 numerical divergence, 4 hard invariant
-failure (norm drift).  All artifacts land under the output directory with a
-manifest listing each file's digest and the digest of the canonical
-serialized parameters.
+Exit codes: 0 success, 2 configuration error, any other simulator error
+(:class:`~vxsim.errors.VxsimError`) or an output that cannot be written,
+3 numerical divergence, 4 hard invariant failure (norm drift).  All
+artifacts land under the output directory with a manifest listing each
+file's digest and the digest of the canonical serialized parameters.
 """
 
 from __future__ import annotations
@@ -216,8 +216,12 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
     ``captured`` is ``(ground component, time)`` after ``capture_at`` steps."""
     traps = np.zeros((5,) + scenario.grid.shape)
     if cfg.physics.traps == "engineered":
-        # V1 holds the background; the slaved levels need no trap of their own
-        traps[0] = qp_cancel_potential(scenario.grid, scenario.rho)
+        # V1 = qp_cancel(rho) - u rho holds the background against its quantum
+        # pressure and its own mean field, so the ground component stands
+        # still; the slaved levels need no trap of their own
+        v1 = traps[0]
+        np.multiply(scenario.rho, -cfg.physics.u, out=v1)
+        v1 += qp_cancel_potential(scenario.grid, scenario.rho)
     state = initial_state(scenario.grid, scenario.rho, traps, cfg.physics.u)
     snaps = _snapshot_steps(cfg, n_steps)
     captured = {}
@@ -282,9 +286,8 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
                 out.field(f"eff_phi{alpha}_{i + 1:05d}.vxf", Field(grid=grid, values=p))
 
     work = KrylovWork()
-    phi = evolve_two_flavor(seed, a, w, scenario.rho, cfg.physics.u,
-                            cfg.run.dt, n_steps, grid, callback=snapshot, observe=snaps,
-                            work=work)
+    phi = evolve_two_flavor(seed, a, w, scenario.rho, cfg.run.dt, n_steps, grid,
+                            callback=snapshot, observe=snaps, work=work)
     return phi, work
 
 
@@ -369,7 +372,7 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
             values[f"compare{alpha}.l2_error"] = rep.l2_error
             values[f"compare{alpha}.windings_agree"] = rep.windings_agree
         try:
-            analytic = analytic_state(scenario.beams, scenario.rho, cfg.physics.u, state.t)
+            analytic = analytic_state(scenario.beams, scenario.rho)
         except ValueError as exc:
             values["analytic.skipped"] = str(exc)
             analytic = ()
@@ -439,7 +442,8 @@ def _write_manifest(out: _Out, params_hash: str, report: RunReport):
 
 
 def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = False) -> RunReport:
-    """Execute one configured run; never raises a :class:`~vxsim.errors.VxsimError`.
+    """Execute one configured run; never raises a :class:`~vxsim.errors.VxsimError`
+    or an ``OSError`` from writing its outputs.
 
     Outcomes are encoded in :class:`RunReport.exit_code` (0/2/3/4) plus the
     ``error`` entry of the report values when nonzero.
@@ -469,16 +473,19 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
         out = _Out(directory)
         run_mode = _run_outcouple if cfg.run.mode == "outcouple" else _run_dynamics
         report = run_mode(cfg, out, grid)
+        report.values["run.seed"] = cfg.run.seed
+        report.values["runtime_s"] = time.perf_counter() - t_start
+        report.values["params_sha256"] = hashlib.sha256(params.encode()).hexdigest()
+        report.out_dir = directory
+        out.text("report.txt", "\n".join(report.lines()) + "\n")
+        _write_manifest(out, report.values["params_sha256"], report)
     except DivergenceError as exc:
         return RunReport(exit_code=3, values={"error": f"divergence: {exc}"}, out_dir=directory)
     except VxsimError as exc:
         prefix = _ERROR_PREFIX.get(type(exc), type(exc).__name__)
         return RunReport(exit_code=2, values={"error": f"{prefix}: {exc}"}, out_dir=directory)
-
-    report.values["run.seed"] = cfg.run.seed
-    report.values["runtime_s"] = time.perf_counter() - t_start
-    report.values["params_sha256"] = hashlib.sha256(params.encode()).hexdigest()
-    report.out_dir = directory
-    out.text("report.txt", "\n".join(report.lines()) + "\n")
-    _write_manifest(out, report.values["params_sha256"], report)
+    except OSError as exc:
+        # the output directory or an artifact in it cannot be written
+        return RunReport(exit_code=2, values={"error": f"output: {directory}: {exc}"},
+                         out_dir=directory)
     return report

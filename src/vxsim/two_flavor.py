@@ -2,12 +2,12 @@
 
 Each flavor q obeys, with its own real gauge field a_q,
 
-    i d/dt phi = 1/2 (i grad + a_q)^2 phi + Veff phi + U rho phi
+    i d/dt phi = 1/2 (i grad + a_q)^2 phi + Veff phi
 
 expanded for spectral application as
 
     1/2 (-lap phi + i (div a_q) phi + 2 i a_q . grad phi + |a_q|^2 phi)
-        + (Veff + U rho) phi,
+        + Veff phi,
 
 with the first-derivative and divergence pieces applied together as the
 symmetrized product i/2 (a_q . D + D . a_q), which is Hermitian on the
@@ -15,7 +15,7 @@ grid exactly (not just in the continuum).  Every term but the local one
 acts along one axis j at a time, so an application takes 1-D transforms
 F_j only:
 
-    H phi = (Veff + U rho + 1/2 |a_q|^2) phi + sum_j (b0_j + a_qj b1_j),
+    H phi = (Veff + 1/2 |a_q|^2) phi + sum_j (b0_j + a_qj b1_j),
     b0_j = F_j^-1 (1/2 k_j^2 F_j phi - 1/2 k_j F_j (a_qj phi)),
     b1_j = F_j^-1 (-1/2 k_j F_j phi),
 
@@ -23,7 +23,7 @@ with the Nyquist-zeroed k_j in the first-derivative terms: four one-axis
 transform calls per application, a forward and an inverse per axis, each
 on the stacked pair of both flavors.
 
-The Hamiltonian does not depend on time (``rho`` is frozen and the gauge
+The Hamiltonian does not depend on time (the potentials and the gauge
 fields are static), so the propagator only lands where the state is observed:
 at the requested step counts and at the last step, not at every ``dt``.
 Both flavors are one stacked ``(2, nx, ny)`` field under one operator,
@@ -114,13 +114,14 @@ def _as_field(name: str, arr, lead: tuple, grid: SpectralGrid, dtype=float) -> n
 
 def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
     """Points with |A| > ``_A_MAX`` must be void: both the background and the
-    flavor field below 1e-10 of their peaks there, else the core is unresolved."""
+    flavor field at most 1e-10 of their peaks there, else the core is
+    unresolved; a field that is zero everywhere is void everywhere."""
     mag = np.sqrt(aq[0] ** 2 + aq[1] ** 2)
     hot = mag > _A_MAX
     if not hot.any():
         return
-    rho_ok = rho[hot] < 1e-10 * float(rho.max())
-    phi_ok = np.abs(phi[hot]) < 1e-10 * float(np.abs(phi).max())
+    rho_ok = rho[hot] <= 1e-10 * float(rho.max())
+    phi_ok = np.abs(phi[hot]) <= 1e-10 * float(np.abs(phi).max())
     bad = ~(rho_ok & phi_ok)
     if bad.any():
         i, j = np.argwhere(hot)[np.argmax(bad)]
@@ -133,7 +134,7 @@ def _core_guard(aq: np.ndarray, rho: np.ndarray, phi: np.ndarray):
 class _FlavorOperator:
     """Matvec of the expanded minimal-coupling Hamiltonian of both flavors,
     stacked on the first axis, each with its own gauge field in ``aq`` and
-    its own potential in ``veff``, plus the common mean field ``u rho``.
+    its own potential in ``veff``.
 
     The cross term is applied in the symmetrized form i/2 (a.D + D.a): the
     spectral derivative D is exactly anti-self-adjoint and a is a real
@@ -163,13 +164,12 @@ class _FlavorOperator:
     ``product``, is free between calls.
 
     ``local`` is built in the buffer of ``veff``, which is overwritten.
-    ``lo`` is the least potential, ``min(veff + u rho)``; :meth:`rescale`
+    ``lo`` is the least potential, ``min(veff)``; :meth:`rescale`
     then turns the multipliers into those of 2 (H - mid) / half once, for
     the Chebyshev recurrence.
     """
 
-    def __init__(self, grid: SpectralGrid, aq: np.ndarray, veff: np.ndarray,
-                 rho: np.ndarray, u: float):
+    def __init__(self, grid: SpectralGrid, aq: np.ndarray, veff: np.ndarray):
         # per axis: (transform axis, a_j, k_j,grad, Nyquist line, k_nyq^2,
         # the line's save buffer), the wavenumbers shaped to broadcast along
         # that axis
@@ -180,7 +180,6 @@ class _FlavorOperator:
             (-1, aq[:, 1], grid.ky_grad, (Ellipsis, grid.ny // 2),
              grid.ky[grid.ny // 2] ** 2, np.empty(lead + (grid.nx,), dtype=np.complex128)),
         )
-        veff += u * rho
         self.local = veff
         self.lo = float(self.local.min())
         self.local += 0.5 * (aq[:, 0] ** 2 + aq[:, 1] ** 2)
@@ -381,7 +380,6 @@ def evolve_two_flavor(
     a: np.ndarray,
     veff: np.ndarray,
     rho: np.ndarray,
-    u: float,
     dt: float,
     n_steps: int,
     grid: SpectralGrid,
@@ -399,9 +397,9 @@ def evolve_two_flavor(
     ``a`` stacks the real gauge fields of the two flavors, shape
     (2, 2, nx, ny), and ``veff`` their real potentials, shape (2, nx, ny):
     flavor 2 (``phi[0]``) sees ``a[0]`` and ``veff[0]``, flavor 3 ``a[1]``
-    and ``veff[1]``; both see the mean field ``u * rho`` of the real
-    background ``rho`` (nx, ny).  A complex ``a``, ``veff`` or ``rho``
-    raises ``ValueError``, even with a zero imaginary part.
+    and ``veff[1]``.  The real background ``rho`` (nx, ny) enters only the
+    core guard.  A complex ``a``, ``veff`` or ``rho`` raises ``ValueError``,
+    even with a zero imaginary part.
     ``callback(step_index, phi)``, if given, runs with the stacked state
     after ``step_index + 1`` steps for each count in ``observe``, and after
     the last step.  The propagator lands only on those steps: one Chebyshev
@@ -428,7 +426,7 @@ def evolve_two_flavor(
     for q in range(2):
         _core_guard(a[q], rho, phi[q])
 
-    op = _FlavorOperator(grid, a, veff, rho, u)
+    op = _FlavorOperator(grid, a, veff)
     if work is None:
         work = KrylovWork()
     lo, hi = _spectral_bounds(op, work)

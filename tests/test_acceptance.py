@@ -134,7 +134,7 @@ def test_dark_state_loading_fidelity(compare_l1):
 
 
 def test_dark_state_loading_fidelity_l2(compare_l2):
-    # the dark-state floor grows with l: 0.0082, 0.0159 and 0.0403 for
+    # the dark-state floor grows with l: 0.0082, 0.0157 and 0.0400 for
     # l = 1, 2, 3 at 128^2, so l = 2 is bounded on its own scale
     _loading_fidelity(compare_l2, 2, 2e-2)
 
@@ -181,7 +181,7 @@ def _constant_gauge_error():
     a0 = 0.7
     a = np.stack([a0 * np.ones(grid.shape), z])
     p2, p3 = evolve_two_flavor(np.stack([psi0, psi0]), np.stack([a, -a]), np.stack([z, z]), z,
-                               0.0, 0.0125, 20, grid)
+                               0.0125, 20, grid)
     spec = fft2(psi0)
     kx = grid.kx_grad[:, None]
     err = 0.0

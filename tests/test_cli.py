@@ -72,6 +72,16 @@ def test_mode_override(tmp_path, capsys):
     assert "mode = outcouple" in capsys.readouterr().out
 
 
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OUTCOUPLE_CFG)
+    out = tmp_path / "run.cfg" / "sub"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error = output: {out}: " in captured.out
+    assert "Traceback" not in captured.err
+    assert "sim: exit 2" in captured.err
+
+
 def test_missing_config(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -78,10 +78,10 @@ def test_loop_spec_validation(grid64, vortex_field):
 def test_analytic_state_windings_and_conjugacy(weak_beams64, grid64):
     rho = np.exp(-grid64.r_map**2 / 18.0)
     loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
-    plus, minus = analytic_state(weak_beams64, rho, 0.0, t=0.0)
+    plus, minus = analytic_state(weak_beams64, rho)
     assert winding(plus, loop).value == 1
     assert winding(minus, loop).value == -1
-    # equal ratio moduli: the two flavors are exact conjugates at t = 0
+    # equal ratio moduli: the two flavors are exact conjugates
     np.testing.assert_allclose(minus.values, np.conj(plus.values), atol=1e-15)
     # each flavor is its own ratio times -sqrt(rho)
     xi1, xi2 = xi_ratios(weak_beams64)
@@ -95,24 +95,8 @@ def test_analytic_state_follows_each_ratio(grid64):
                      control_peak=10.0, control_waist=6.0)
     rho = np.exp(-grid64.r_map**2 / 18.0)
     loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
-    phi2, phi3 = analytic_state(beams, rho, 0.0, t=0.0)
+    phi2, phi3 = analytic_state(beams, rho)
     assert (winding(phi2, loop).value, winding(phi3, loop).value) == (1, 2)
-
-
-def test_analytic_state_dynamical_phase(weak_beams64, grid64):
-    rho = np.exp(-grid64.r_map**2 / 18.0)
-    u = 0.4
-    base = analytic_state(weak_beams64, rho, u, t=0.0)
-    later = analytic_state(weak_beams64, rho, u, t=1.7)
-    for b, l in zip(base, later):
-        np.testing.assert_allclose(l.values, b.values * np.exp(-1.7j * u * rho), atol=1e-14)
-
-
-def test_analytic_state_static_when_unforced(weak_beams64, grid64):
-    rho = np.exp(-grid64.r_map**2 / 18.0)
-    a, _ = analytic_state(weak_beams64, rho, 0.0, t=0.0)
-    b, _ = analytic_state(weak_beams64, rho, 0.0, t=9.0)
-    np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_analytic_state_rejects_tilts(grid64):
@@ -123,7 +107,7 @@ def test_analytic_state_rejects_tilts(grid64):
     )
     rho = np.ones(grid64.shape)
     with pytest.raises(ValueError, match="tilt"):
-        analytic_state(tilted, rho, 0.0, t=0.0)
+        analytic_state(tilted, rho)
 
 
 # --- state comparison ------------------------------------------------------

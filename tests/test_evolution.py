@@ -353,7 +353,7 @@ def test_drivers_share_the_observation_schedule(weak_beams64, grid64):
     def hold(observe):
         seen = []
         evolve_two_flavor(np.stack([psi, psi]), np.zeros((2, 2) + grid64.shape), np.stack([z, z]),
-                          z, 0.0, 0.004, n, grid64, callback=lambda i, phi: seen.append(i),
+                          z, 0.004, n, grid64, callback=lambda i, phi: seen.append(i),
                           observe=observe)
         return seen
 

@@ -164,18 +164,6 @@ def test_history_validation(pulse_history):
         EnvelopeHistory(grid=g, times=[0.0, 0.0], values=np.zeros((2,) + g.shape))
     with pytest.raises(ValueError, match="shape"):
         EnvelopeHistory(grid=g, times=[0.0, 1.0], values=np.zeros((3,) + g.shape))
-    with pytest.raises(ValueError, match="precedes"):
-        pulse_history.sample(-1.0)
-    with pytest.raises(ValueError, match="past recorded history"):
-        pulse_history.sample(100.0)
-
-
-def test_history_interpolation(pulse_history):
-    t0, t1 = pulse_history.times[3], pulse_history.times[4]
-    mid = pulse_history.sample(0.5 * (t0 + t1))
-    expected = 0.5 * (pulse_history.values[3] + pulse_history.values[4])
-    np.testing.assert_allclose(mid, expected, atol=1e-15)
-    np.testing.assert_array_equal(pulse_history.sample(t0), pulse_history.values[3])
 
 
 def test_output_map_shift_factor_and_winding(pulse_history):

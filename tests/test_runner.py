@@ -303,6 +303,22 @@ def test_reduced_branch_tracks_any_pair(tmp_path, pair, tilted):
             assert np.array_equal(got, want[comp])
 
 
+def test_reduced_gap_does_not_depend_on_the_mean_field(tmp_path):
+    # V1 holds the background against its own mean field, so the ground
+    # component stands still at any u and the reduced branch, which sees
+    # each flavor's W alone, tracks the full one as well at u = 0.05 as at
+    # u = 0: 0.01402 at both, where a V1 that cancels only the quantum
+    # pressure reads 0.0467 at u = 0.05
+    text = PAIR + "beam.p2.peak = 0.8\nbeam.p2.l = -1\n"
+    gaps = []
+    for u in (0.0, 0.05):
+        cfg = parse_config(text.replace("physics.u = 0.02", f"physics.u = {u}"))
+        rep = run(cfg, out_dir=tmp_path / f"u{u}")
+        assert rep.exit_code == 0, rep.values.get("error")
+        gaps.append(rep.values["compare2.l2_error"])
+    assert abs(gaps[1] - gaps[0]) <= 1e-3
+
+
 SHORT = SMALL + "run.n_steps = 4\nrun.ramp_time = 0.008\n"
 
 
@@ -336,6 +352,25 @@ def test_setup_failures_are_exit_2(tmp_path, text, cause):
     assert cause in rep.values["error"]
     # no run gets as far as the end of either branch
     assert not list((tmp_path / "out").glob("*phi*_final.vxf"))
+
+
+@pytest.mark.parametrize("blocked", [None, "phi1_final.vxf", "summary.csv", "report.txt",
+                                     "manifest.txt"])
+def test_unwritable_output_is_exit_2(tmp_path, blocked):
+    # an output directory under a regular file cannot be made; a directory
+    # standing where an artifact goes cannot be written over
+    if blocked is None:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        named = out
+    else:
+        out = tmp_path / "out"
+        named = out / blocked
+        named.mkdir(parents=True)
+    rep = run(parse_config(SHORT + "run.mode = full\n"), out_dir=out)
+    assert rep.exit_code == 2
+    assert rep.values["error"].startswith(f"output: {out}: ")
+    assert str(named) in rep.values["error"]
 
 
 def test_non_finite_config_built_in_code_is_exit_2(tmp_path):

@@ -23,11 +23,12 @@ def grid32():
 @pytest.fixture(scope="module")
 def vortex_background(grid64):
     """Charge +1 ring seed, the gauge fields of it (flavor 2) and of its
-    conjugate (flavor 3), and smooth background fields."""
+    conjugate (flavor 3), a smooth background and a potential with a mean
+    field of it, 0.5 rho."""
     f = (grid64.r_map / 1.5) * np.exp(-((grid64.r_map / 1.5) ** 2))
     seed = f * np.exp(1j * grid64.phi_map)
-    veff = 0.3 * np.exp(-grid64.r_map**2 / 8.0)
     rho = np.exp(-grid64.r_map**2 / 18.0)
+    veff = 0.3 * np.exp(-grid64.r_map**2 / 8.0) + 0.5 * rho
     vg = vortex_gauge_field(grid64, 1)
     return seed, np.stack([vg, -vg]), veff, rho
 
@@ -57,7 +58,7 @@ def kspace_propagator(grid, a0, t, sign):
 def test_free_evolution_matches_spectral(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid64.shape)
-    p2, p3 = evolve_two_flavor(pair(psi0), zeros2(grid64), pair(z), z, 0.0, 0.0125, 20, grid64)
+    p2, p3 = evolve_two_flavor(pair(psi0), zeros2(grid64), pair(z), z, 0.0125, 20, grid64)
     exact = ifft2(np.exp(-0.5j * 0.25 * grid64.k2) * fft2(psi0))
     assert np.abs(p2 - exact).max() < 1e-12
     assert np.abs(p3 - exact).max() < 1e-12
@@ -70,7 +71,7 @@ def test_constant_gauge_field_exact(grid64):
     psi0 = np.exp(-(grid64.r_map**2) / (2.0 * 1.5**2)).astype(complex)
     z = np.zeros(grid64.shape)
     a = uniform_fields(grid64, 0.7, -0.3)
-    p2, p3 = evolve_two_flavor(pair(psi0), a, pair(z), z, 0.0, 0.0125, 20, grid64)
+    p2, p3 = evolve_two_flavor(pair(psi0), a, pair(z), z, 0.0125, 20, grid64)
     spec = fft2(psi0)
     ex2 = ifft2(kspace_propagator(grid64, 0.7, 0.25, -1) * spec)
     ex3 = ifft2(kspace_propagator(grid64, -0.3, 0.25, -1) * spec)
@@ -84,8 +85,8 @@ def test_time_reversal_pairing(grid64, vortex_background):
     -A) rewinds it to the conjugate initial state."""
     seed, aq, veff, rho = vortex_background
     none = np.zeros_like(seed)
-    fwd, _ = evolve_two_flavor(np.stack([seed, none]), aq, pair(veff), rho, 0.5, 0.01, 30, grid64)
-    _, back = evolve_two_flavor(np.stack([none, np.conj(fwd)]), aq, pair(veff), rho, 0.5, 0.01,
+    fwd, _ = evolve_two_flavor(np.stack([seed, none]), aq, pair(veff), rho, 0.01, 30, grid64)
+    _, back = evolve_two_flavor(np.stack([none, np.conj(fwd)]), aq, pair(veff), rho, 0.01,
                                 30, grid64)
     assert np.abs(back - np.conj(seed)).max() < 1e-12
 
@@ -104,7 +105,7 @@ def test_reduced_seed_is_stationary_without_interaction(grid64, l, bound):
     seed = -np.stack(xi) * np.sqrt(rho)
     for veff, lo, hi in ((w, 0.0, bound), (np.zeros_like(w), 0.5, np.inf)):
         # the call overwrites the seed and the potential it is handed
-        phi = evolve_two_flavor(seed.copy(), a, veff.copy(), rho, 0.0, 0.016, 125, grid64)
+        phi = evolve_two_flavor(seed.copy(), a, veff.copy(), rho, 0.016, 125, grid64)
         for p, s in zip(phi, seed):
             assert lo < np.linalg.norm(p - s) / np.linalg.norm(s) < hi
 
@@ -112,7 +113,7 @@ def test_reduced_seed_is_stationary_without_interaction(grid64, l, bound):
 def test_winding_preserved(grid64, vortex_background):
     seed, aq, _, _ = vortex_background
     z = np.zeros(grid64.shape)
-    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(z), z, 0.0, 0.01, 50,
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(z), z, 0.01, 50,
                                grid64)
     loop = LoopSpec(center=(0.0, 0.0), radius=2.0)
     assert winding(Field(grid64, p2), loop).value == 1
@@ -122,7 +123,7 @@ def test_winding_preserved(grid64, vortex_background):
 def test_norm_conserved(grid64, vortex_background):
     seed, aq, veff, rho = vortex_background
     n0 = np.linalg.norm(seed)
-    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01,
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01,
                                100, grid64)
     assert abs(np.linalg.norm(p2) - n0) / n0 < 1e-12
     assert abs(np.linalg.norm(p3) - n0) / n0 < 1e-12
@@ -135,7 +136,7 @@ def test_big_step_subdivides_not_degrades(grid32):
     z = np.zeros(grid32.shape)
     a0 = 0.7
     a = uniform_fields(grid32, a0, -a0)
-    p2, _ = evolve_two_flavor(pair(psi0), a, pair(z), z, 0.0, 2.0, 1, grid32)
+    p2, _ = evolve_two_flavor(pair(psi0), a, pair(z), z, 2.0, 1, grid32)
     ex = ifft2(kspace_propagator(grid32, a0, 2.0, -1) * fft2(psi0))
     assert np.abs(p2 - ex).max() < 1e-12
 
@@ -143,7 +144,7 @@ def test_big_step_subdivides_not_degrades(grid32):
 def test_zero_field_stays_zero(grid32):
     z = np.zeros(grid32.shape)
     zero = np.zeros(grid32.shape, dtype=complex)
-    p2, p3 = evolve_two_flavor(pair(zero), zeros2(grid32), pair(z), z, 1.0, 0.1, 3, grid32)
+    p2, p3 = evolve_two_flavor(pair(zero), zeros2(grid32), pair(z), z, 0.1, 3, grid32)
     assert not p2.any() and not p3.any()
 
 
@@ -152,7 +153,7 @@ def test_core_guard_raises_on_live_fields(grid32):
     ones = np.ones(grid32.shape, dtype=complex)
     hot = uniform_fields(grid32, 1e4, 0.0)
     with pytest.raises(CoreSingularityError, match="refine the grid"):
-        evolve_two_flavor(pair(ones), hot, pair(z), np.ones(grid32.shape), 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(ones), hot, pair(z), np.ones(grid32.shape), 0.01, 1, grid32)
 
 
 def test_core_guard_is_per_flavor(grid32):
@@ -165,9 +166,21 @@ def test_core_guard_is_per_flavor(grid32):
     phi2 = np.ones(grid32.shape, dtype=complex)
     phi3 = np.where(ring, 0.0, rho).astype(complex)
     z = np.zeros(grid32.shape)
-    evolve_two_flavor(np.stack([phi2, phi3]), a, pair(z), rho, 0.0, 1e-6, 1, grid32)
+    evolve_two_flavor(np.stack([phi2, phi3]), a, pair(z), rho, 1e-6, 1, grid32)
     with pytest.raises(CoreSingularityError, match="refine the grid"):
-        evolve_two_flavor(np.stack([phi3, phi2]), a, pair(z), rho, 0.0, 1e-6, 1, grid32)
+        evolve_two_flavor(np.stack([phi3, phi2]), a, pair(z), rho, 1e-6, 1, grid32)
+
+
+def test_core_guard_takes_a_zero_field_as_void(grid32):
+    # a field that is zero everywhere is void everywhere: neither an empty
+    # flavor under a hot field nor an empty background trips the guard
+    ring = grid32.r_map > 6.0
+    a = uniform_fields(grid32, 0.0, 0.0)
+    a[:, 0, ring] = 1e4
+    live = np.exp(-(grid32.r_map**2))
+    empty = np.zeros(grid32.shape)
+    evolve_two_flavor(np.stack([live, empty]), a, pair(empty), live, 1e-6, 1, grid32)
+    evolve_two_flavor(pair(live), a, pair(empty), empty, 1e-6, 1, grid32)
 
 
 def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
@@ -179,7 +192,8 @@ def test_core_guard_allows_void_core(grid64, vortex_background, monkeypatch):
     seed = np.where(void, 0.0, seed)
     rho = np.where(void, 0.0, rho)
     z = np.zeros(grid64.shape)
-    evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(z), rho, 0.3, 0.01, 2, grid64)
+    evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(0.3 * rho), rho, 0.01, 2,
+                      grid64)
 
 
 def test_nan_inputs_rejected(grid32):
@@ -188,29 +202,29 @@ def test_nan_inputs_rejected(grid32):
     vbad = z.copy()
     vbad[3, 3] = np.nan
     with pytest.raises(ValueError, match="fill_masked"):
-        evolve_two_flavor(pair(psi), zeros2(grid32), np.stack([vbad, z]), z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32), np.stack([vbad, z]), z, 0.01, 1, grid32)
 
 
 def test_argument_validation(grid32):
     z = np.zeros(grid32.shape)
     psi = np.ones(grid32.shape, dtype=complex)
     with pytest.raises(ValueError, match=r"phi must have shape \(2, nx, ny\)"):
-        evolve_two_flavor(pair(psi[:4]), zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi[:4]), zeros2(grid32), pair(z), z, 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"phi must have shape \(2, nx, ny\)"):
-        evolve_two_flavor(psi, zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(psi, zeros2(grid32), pair(z), z, 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"veff must have shape \(2, nx, ny\)"):
-        evolve_two_flavor(pair(psi), zeros2(grid32), z, z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32), z, z, 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"rho must have shape \(nx, ny\)"):
-        evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), pair(z), 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), pair(z), 0.01, 1, grid32)
     with pytest.raises(ValueError, match=r"\(2, 2, nx, ny\)"):
-        evolve_two_flavor(pair(psi), zeros2(grid32)[0], pair(z), z, 0.0, 0.01, 1, grid32)
+        evolve_two_flavor(pair(psi), zeros2(grid32)[0], pair(z), z, 0.01, 1, grid32)
     # complex gauge fields are rejected even with a zero imaginary part
     for a in (zeros2(grid32) + 0.1j, zeros2(grid32).astype(complex)):
         with pytest.raises(ValueError, match="a must be real"):
-            evolve_two_flavor(pair(psi), a, pair(z), z, 0.0, 0.01, 1, grid32)
+            evolve_two_flavor(pair(psi), a, pair(z), z, 0.01, 1, grid32)
     for observe in ({0}, {2}):
         with pytest.raises(ValueError, match="outside 1..1"):
-            evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), z, 0.0, 0.01, 1, grid32,
+            evolve_two_flavor(pair(psi), zeros2(grid32), pair(z), z, 0.01, 1, grid32,
                               observe=observe)
 
 
@@ -224,7 +238,7 @@ def test_complex_potential_rejected(grid32):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{name} must be real"):
-                evolve_two_flavor(psi, zeros2(grid32), veff, rho, 0.0, 0.01, 1, grid32)
+                evolve_two_flavor(psi, zeros2(grid32), veff, rho, 0.01, 1, grid32)
 
 
 def test_callback_sequence(grid32):
@@ -232,7 +246,7 @@ def test_callback_sequence(grid32):
     z = np.zeros(grid32.shape)
     seen = []
     evolve_two_flavor(
-        pair(psi), zeros2(grid32), pair(z), z, 0.0, 0.01, 4, grid32,
+        pair(psi), zeros2(grid32), pair(z), z, 0.01, 4, grid32,
         callback=lambda i, phi: seen.append((i, phi.shape)), observe=range(1, 5),
     )
     assert [i for i, _ in seen] == [0, 1, 2, 3]
@@ -244,7 +258,7 @@ def _every_step(grid, background, n_steps, work=None):
     seed, aq, veff, rho = background
     seen = []
     out = evolve_two_flavor(
-        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, n_steps, grid,
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01, n_steps, grid,
         callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=range(1, n_steps + 1), work=work,
     )
@@ -254,7 +268,7 @@ def _every_step(grid, background, n_steps, work=None):
 def test_one_advance_matches_every_step(grid64, vortex_background):
     seed, aq, veff, rho = vortex_background
     (ref2, ref3), _ = _every_step(grid64, vortex_background, 100)
-    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01,
+    p2, p3 = evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01,
                                100, grid64)
     assert np.abs(p2 - ref2).max() < 1e-12
     assert np.abs(p3 - ref3).max() < 1e-12
@@ -265,7 +279,7 @@ def test_callback_every_fires_on_its_steps(grid64, vortex_background):
     _, ref = _every_step(grid64, vortex_background, 23)
     seen = []
     evolve_two_flavor(
-        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 23, grid64,
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01, 23, grid64,
         callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=range(5, 24, 5),
     )
@@ -282,7 +296,7 @@ def test_unobserved_hold_saves_matvecs(grid64, vortex_background):
     _every_step(grid64, vortex_background, 100, work=stepped)
     held = KrylovWork()
     evolve_two_flavor(
-        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 100, grid64, work=held
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01, 100, grid64, work=held
     )
     # one recurrence per group of up to four observed steps, for both
     # flavors at once
@@ -313,7 +327,7 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     work = KrylovWork()
     seen = []
     evolve_two_flavor(
-        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, dt, 40, grid64,
+        np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, dt, 40, grid64,
         callback=lambda i, phi: seen.append((i, *phi.copy())),
         observe=ends, work=work,
     )
@@ -321,14 +335,14 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     # reference: a chain of calls that each advance one stretch
     p2, p3 = seed, np.conj(seed)
     for _, s2, s3 in seen:
-        p2, p3 = evolve_two_flavor(np.stack([p2, p3]), aq, pair(veff), rho, 0.5, dt, 5, grid64)
+        p2, p3 = evolve_two_flavor(np.stack([p2, p3]), aq, pair(veff), rho, dt, 5, grid64)
         peak = max(np.abs(p2).max(), np.abs(p3).max())
         assert np.abs(s2 - p2).max() <= 1e-12 * peak
         assert np.abs(s3 - p3).max() <= 1e-12 * peak
 
     # two groups of four observed steps, 20 steps each; a group's one
     # recurrence is as long as its last time needs
-    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
     lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
     group_terms = _terms(0.5 * (hi - lo) * 20 * dt)
     assert work.matvecs == two_flavor._BOUND_STEPS + 2 * (group_terms - 1)
@@ -341,7 +355,7 @@ def _traced_peak(phi, aq, veff, rho, grid, observe):
     the seed counts in every case alike."""
     tracemalloc.start()
     try:
-        evolve_two_flavor(phi.copy(), aq, veff, rho, 0.5, 0.01, 25, grid, observe=observe)
+        evolve_two_flavor(phi.copy(), aq, veff, rho, 0.01, 25, grid, observe=observe)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,8 +388,9 @@ def test_one_observed_stretch_holds_few_states(grid128):
     seed = (r / 1.5) * np.exp(-((r / 1.5) ** 2)) * np.exp(2j * grid128.phi_map)
     phi = np.stack([seed, np.conj(seed)])
     vg = vortex_gauge_field(grid128, 2)
-    veff = pair(0.3 * np.exp(-r**2 / 8.0))
-    peak = _traced_peak(phi, np.stack([vg, -vg]), veff, np.exp(-r**2 / 18.0), grid128, ())
+    rho = np.exp(-r**2 / 18.0)
+    veff = pair(0.3 * np.exp(-r**2 / 8.0) + 0.5 * rho)
+    peak = _traced_peak(phi, np.stack([vg, -vg]), veff, rho, grid128, ())
     assert peak <= 5.75 * phi.nbytes
 
 
@@ -391,7 +406,7 @@ def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
     monkeypatch.setattr(two_flavor, "_spectral_bounds", low)
     seed, aq, veff, rho = vortex_background
     with pytest.raises(DivergenceError, match="spectral bound"):
-        evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.5, 0.01, 100,
+        evolve_two_flavor(np.stack([seed, np.conj(seed)]), aq, pair(veff), rho, 0.01, 100,
                           grid64)
 
 
@@ -401,7 +416,7 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     a0 = 0.7
     a = np.stack([a0 * np.ones(grid64.shape), np.zeros(grid64.shape)])
     z = np.zeros(grid64.shape)
-    op = two_flavor._FlavorOperator(grid64, np.stack([a, -a]), pair(z), z, 0.0)
+    op = two_flavor._FlavorOperator(grid64, np.stack([a, -a]), pair(z))
     exact = np.stack([0.5 * grid64.k2 + sign * a0 * grid64.kx_grad[:, None] + 0.5 * a0**2
                       for sign in (-1, +1)])
     work = KrylovWork()
@@ -457,7 +472,7 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
     from scipy.linalg import eigh_tridiagonal
 
     seed, aq, veff, rho = vortex_background
-    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
     lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
     monkeypatch.setattr(two_flavor, "eigh_tridiagonal", eigh_tridiagonal)
     ref_lo, ref_hi = two_flavor._spectral_bounds(op, KrylovWork())
@@ -473,7 +488,7 @@ def _vortex_operator(grid, l):
     vg = vortex_gauge_field(grid, l)
     veff = pair(0.3 * np.exp(-r**2 / 8.0) + 0.5 * np.exp(-r**2 / 18.0))
     aq = np.stack([vg, -vg])
-    op = two_flavor._FlavorOperator(grid, aq, veff, np.zeros(grid.shape), 0.0)
+    op = two_flavor._FlavorOperator(grid, aq, veff)
     return op, np.stack([seed, np.conj(seed)]), aq
 
 
@@ -578,7 +593,7 @@ def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_bac
     # a state it has yielded is a vector of its own and keeps its values
     # while the recurrence runs on
     seed, aq, veff, rho = vortex_background
-    op = two_flavor._FlavorOperator(grid64, aq, pair(veff), rho, 0.5)
+    op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
     lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     op.rescale(mid, half)
