@@ -266,17 +266,34 @@ class SplitStepper:
         block until its own terms fall below the tolerance, so that a
         block's fields, term buffers and couplings stay in cache across its
         terms.  Terms are added to ``state.phi`` in place.
+
+        The tolerance scales with the largest ``|phi|``.  The ground
+        component's modulus is always taken; another component's only where
+        1.5 times its largest real or imaginary part can reach the largest
+        modulus so far (``|z| <= sqrt(2) * max(|Re z|, |Im z|)``), so the
+        scale is the same value either way.  A term's convergence test
+        reduces its largest part first and its smallest only when that
+        largest is within the tolerance.  On a block where the excited
+        levels' diagonal (trap plus eps14/eps15) is zero, their rows skip
+        the diagonal product.
         """
         self._check_shape(state)
         phi = state.phi
         # one contiguous component block at a time: abs of a strided one
         # goes through a ufunc buffer
         scratch = self._real[0]
-        ref = float(np.max([np.abs(phi[c, b], out=scratch).max()
-                            for c in range(phi.shape[0]) for b in self._blocks]))
-        if not np.isfinite(ref):
-            # NaN never satisfies the convergence test; report the real problem
-            raise DivergenceError("non-finite field values", step=self.index)
+        ref = 0.0
+        for c, component in enumerate(phi):
+            if c:
+                flat = component.view(np.float64)
+                if 1.5 * max(float(flat.max()), -float(flat.min())) < ref:
+                    continue
+            size = float(np.max([np.abs(component[b], out=scratch).max()
+                                 for b in self._blocks]))
+            if not math.isfinite(size):
+                # NaN never satisfies the convergence test; report the real problem
+                raise DivergenceError("non-finite field values", step=self.index)
+            ref = max(ref, size)
         # max(|Re|, |Im|) <= tol/sqrt(2) implies |term| <= tol
         tol = 1e-16 * ref / math.sqrt(2.0)
         for block in self._blocks:
@@ -307,24 +324,45 @@ class SplitStepper:
             np.conjugate(out, out=out)
         couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
                      (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
-        # term k is built from term k-1 in the other buffer; term 0 is phi
-        src, term = self._terms
-        src[...] = phi
+        if real[3:].any():
+            ndiag, heads, adds = 5, (), couplings
+        else:
+            # the excited rows' diagonal is zero: their first coupling
+            # product opens the term, and the diagonal product stops at row 2
+            ndiag, heads, adds = 3, couplings[4::2], couplings[:4] + couplings[5::2]
+        # term k is built from term k-1, in the other buffer; term 0 is phi
+        src = phi
         for k in range(1, _SERIES_MAX_TERMS + 1):
-            np.multiply(diag, src, out=term)
-            for row, coupling, col in couplings:
+            term = self._terms[k % 2]
+            if src is phi:
+                # row by row: a block of phi is no one contiguous stretch,
+                # and a stacked product with it goes through a ufunc buffer
+                for row in range(ndiag):
+                    np.multiply(diag[row], src[row], out=term[row])
+            else:
+                np.multiply(diag[:ndiag], src[:ndiag], out=term[:ndiag])
+            for row, coupling, col in heads:
+                np.multiply(coupling, src[col], out=term[row])
+            for row, coupling, col in adds:
                 np.multiply(coupling, src[col], out=tmp)
                 term[row] += tmp
-            term *= 1.0 / k
-            phi += term
             flat = term.view(np.float64)
-            size = max(float(flat.max()), -float(flat.min()))
+            flat *= 1.0 / k
+            phi += term
+            # max(max, -min) <= tol only if max <= tol: take min only then
+            size = float(flat.max())
             if size <= tol:
-                self.terms += k
-                return
+                size = max(size, -float(flat.min()))
+                if size <= tol:
+                    self.terms += k
+                    return
             if not math.isfinite(size):
                 raise DivergenceError("non-finite field values", step=self.index)
-            src, term = term, src
+            src = term
+        if not np.isfinite(phi).all():
+            # a term whose parts overflowed to -inf alone passes the test of
+            # its maximum; phi holds it
+            raise DivergenceError("non-finite field values", step=self.index)
         raise DivergenceError(self._unconverged(state, block, diag, couplings), step=self.index)
 
     def _unconverged(self, state, block, diag, couplings) -> str:

@@ -534,3 +534,120 @@ def test_stepper_derives_the_conjugate_couplings_exactly(grid16):
         assert len(stepper._scaled) == len(expected)
         for got, want in zip(stepper._scaled, expected):
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def _golden_local(stepper, state, scale):
+    """The local series as it stood before its passes were cut, term by
+    term: the scale from every ``|phi|``, the dense diagonal product, the
+    eight coupling products in this order, ``term *= 1/k`` and the
+    two-sided ``max(max, -min)`` test.  Updates ``state.phi`` like
+    ``stepper.local`` and returns the terms it took."""
+    phi, dt = state.phi, stepper.dt
+    tol = 1e-16 * float(np.max(np.abs(phi))) / np.sqrt(2.0)
+    terms = 0
+    for block in stepper._blocks:
+        p = phi[:, block]
+        rho_low = np.zeros(p.shape[1:])
+        for c in p[:3]:
+            rho_low += c.real ** 2
+            rho_low += c.imag ** 2
+        real = state.traps[:, block] + stepper._eps[:, None, None]
+        real[:3] += state.u * rho_low
+        diag = np.zeros(p.shape, dtype=complex)
+        diag.imag = real * -dt
+        p1, p2 = (scale * a[block] for a in stepper._probes)
+        c1, c2 = (a[block] for a in stepper._controls)
+        p1c, p2c, c1c, c2c = (np.conj(-a) for a in (p1, p2, c1, c2))
+        couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
+                     (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
+        src = p.copy()
+        for k in range(1, 33):
+            term = diag * src
+            for row, coupling, col in couplings:
+                term[row] += coupling * src[col]
+            term *= 1.0 / k
+            p += term
+            flat = term.view(np.float64)
+            if max(float(flat.max()), -float(flat.min())) <= tol:
+                terms += k
+                break
+            src = term
+        else:
+            raise AssertionError("the golden series did not converge")
+    return terms
+
+
+def _populated(grid, u, excited_trap):
+    """A loaded state with every level populated, so that every coupling
+    acts, and ``excited_trap`` on levels 4 and 5."""
+    state = _loaded_state(grid, u)
+    state.traps[3:] = excited_trap
+    for level in range(1, 5):
+        state.phi[level] = 0.1 * np.exp(1j * level * grid.phi_map) * state.phi[0]
+    return state
+
+
+def _golden_cases(weak_beams64, grid64):
+    # (a) the weak pair, no excited diagonal: rows 4 and 5 skip it
+    yield "weak", weak_beams64, _populated(grid64, 0.4, 0.0), 0.004
+    # (b) the acceptance strengths with tilted controls and level shifts
+    grid32 = make_grid(32, 32, 16.0, 16.0)
+    acceptance = lg_beams(grid32, l1=1, l2=-1, probe_peak=0.8, probe_waist=2.0,
+                          control_peak=12.0, control_waist=6.0, kc1=(0.4, 0.0),
+                          kc2=(0.0, -0.4), eps12=0.02, eps13=-0.03, eps14=0.5, eps15=-0.4)
+    yield "acceptance", acceptance, _populated(grid32, 0.02, 0.0), 0.004
+    # (c) two 16-row blocks, a V4 trap on the first one's rows only
+    wide = make_grid(32, 256, 16.0, 16.0)
+    state = _populated(wide, 0.4, 0.0)
+    state.traps[3, :16] = 0.5
+    beams = lg_beams(wide, l1=1, l2=-1, probe_peak=0.3, probe_waist=2.0,
+                     control_peak=10.0, control_waist=6.0)
+    yield "split-trap", beams, state, 0.001
+    # (d) the largest modulus in an excited level, so that its |phi| is
+    # taken; the tolerance of the ground's alone would cost a term more
+    state = _populated(grid64, 0.4, 0.0)
+    state.phi[3] = 1e3 * np.exp(0.25j * np.pi) * state.phi[0]
+    assert np.abs(state.phi[3]).max() > np.abs(state.phi[:3]).max()
+    yield "excited-peak", weak_beams64, state, 0.004
+
+
+def test_local_series_matches_the_golden_model(weak_beams64, grid64):
+    # cutting passes from the series changed no value and no term count
+    for name, beams, a, dt in _golden_cases(weak_beams64, grid64):
+        b = a.copy()
+        stepper = SplitStepper(beams, dt)
+        if name == "split-trap":
+            assert len(stepper._blocks) == 2
+        stepper.local(a, 0.7)
+        terms = _golden_local(stepper, b, 0.7)
+        assert np.array_equal(a.phi, b.phi), name
+        assert stepper.terms == terms, name
+
+
+def _overflowing_state(grid, last):
+    """A state whose series overflows to -inf in real parts only while its
+    largest part stays finite and above the tolerance: in term 1, or (with
+    ``last``) in the last term the series takes."""
+    state = _blank_state(grid)
+    if last:
+        # pure diagonal growth on the excited levels, term k = (-i d)^k/k! phi
+        # with d = 64 on level 4 and 32 on level 5; term 32 of level 4
+        # overflows to -inf, level 5's stays finite and positive
+        state.traps[3], state.traps[4] = 64.0, 32.0
+        state.phi[3], state.phi[4] = -3.5e284, 3.5e284
+    else:
+        state.traps[0], state.traps[1] = -1e200, 1.0
+        state.phi[0] = state.phi[1] = 1e150j
+    return state
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_series_flags_a_term_gone_to_minus_inf(uniform_beams, grid16, last):
+    # the convergence test reduces a term's smallest part only when its
+    # largest is within the tolerance; a -inf beside a large finite maximum
+    # is still reported as non-finite, in the step it appears in
+    stepper = SplitStepper(uniform_beams(grid16), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite") as exc:
+        stepper.local(_overflowing_state(grid16, last))
+    assert exc.value.step == 0
