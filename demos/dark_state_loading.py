@@ -7,8 +7,6 @@ population transfer into the two vortex flavors while the excited levels
 stay empty.
 """
 
-import numpy as np
-
 from vxsim.beams import lg_beams
 from vxsim.evolution import (
     Ramp,
@@ -28,10 +26,9 @@ rho = thomas_fermi_density(grid, 1.0, 5.0)
 # pressure and its own mean field u*rho, and the slaved levels need no trap
 # of their own
 u = 0.02
-traps = np.zeros((5,) + grid.shape)
-traps[0] = qp_cancel_potential(grid, rho) - u * rho
+v1 = qp_cancel_potential(grid, rho) - u * rho
 
-state = initial_state(grid, rho, traps, u=u)
+state = initial_state(grid, rho, v1, u=u)
 ramp = Ramp(5.0)
 
 print("step      t     P1        P2        P3        P4+P5")

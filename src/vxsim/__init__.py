@@ -59,7 +59,6 @@ from .gauge import (
     EffectiveGauge,
     TrapSolution,
     effective_potentials,
-    fill_masked,
     flavor_fields,
     gauge_potentials,
     solve_traps,
@@ -120,7 +119,6 @@ __all__ = [
     "delay_table",
     "effective_potentials",
     "evolve_two_flavor",
-    "fill_masked",
     "flavor_fields",
     "gauge_potentials",
     "get_workers",

@@ -5,8 +5,8 @@ component, one full local step coupling the internal levels pointwise, half a
 kinetic step.  Within a run, the half kinetic steps between two observed
 steps fuse into full ones (:class:`SplitStepper`).  The local Hamiltonian at
 each grid point is the 5x5 coupling matrix of the two probe and two control
-beams plus a diagonal of detunings, traps and mean-field shifts frozen at the
-pre-step densities.
+beams plus a diagonal of detunings, the ground-level trap and mean-field
+shifts frozen at the pre-step densities.
 
 Level ordering everywhere: index 0 is the ground component, 1 and 2 the two
 meta-stable components, 3 and 4 the two excited components.  Probe 1 couples
@@ -54,8 +54,10 @@ _BLOCK_POINTS = 4096
 class MatterState:
     """Five complex fields plus the static problem data they evolve under.
 
-    ``phi`` has shape (5, nx, ny).  ``traps`` has shape (5, nx, ny) and holds
-    the component potentials V1..V5.  Functions that advance a state mutate it
+    ``phi`` has shape (5, nx, ny).  ``traps`` has shape (nx, ny) and holds
+    the ground-level potential V1; the other four levels carry no trap, so
+    their diagonal is the beams' detuning (plus, on levels 2 and 3, the mean
+    field).  Functions that advance a state mutate it
     in place and return it: each step overwrites the buffer of ``phi``, so
     callers and callbacks that keep a state or a component of it must copy
     it (states are cheap: ``state.copy()``).  ``norm`` and ``populations``
@@ -73,8 +75,8 @@ class MatterState:
         if self.phi.shape != (5,) + self.grid.shape:
             raise ValueError(f"phi must have shape (5, nx, ny), got {self.phi.shape}")
         self.traps = np.asarray(self.traps, dtype=float)
-        if self.traps.shape != (5,) + self.grid.shape:
-            raise ValueError(f"traps must have shape (5, nx, ny), got {self.traps.shape}")
+        if self.traps.shape != self.grid.shape:
+            raise ValueError(f"traps must have shape (nx, ny), got {self.traps.shape}")
 
     def copy(self) -> "MatterState":
         return MatterState(
@@ -99,7 +101,8 @@ class MatterState:
 
 
 def initial_state(grid: SpectralGrid, rho: np.ndarray, traps: np.ndarray, u: float) -> MatterState:
-    """All atoms in the ground component: ``phi1 = sqrt(rho)``, rest zero."""
+    """All atoms in the ground component: ``phi1 = sqrt(rho)``, rest zero;
+    ``traps`` is the ground-level potential V1."""
     phi = np.zeros((5,) + grid.shape, dtype=np.complex128)
     phi[0] = np.sqrt(np.asarray(rho, dtype=float))
     return MatterState(grid=grid, phi=phi, traps=traps, u=u)
@@ -208,23 +211,30 @@ class SplitStepper:
         self._controls = (beams.omega_c1(), beams.omega_c2())
         for field in self._probes + self._controls:
             field *= -1j * dt
-        self._eps = np.array([0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15])
+        self._eps = (beams.eps12, beams.eps13)
+        # the excited levels' diagonal is eps14/eps15 alone; where both are
+        # zero, their first coupling product opens the term and the diagonal
+        # product stops at row 2
+        self._excited_diag = bool(beams.eps14 or beams.eps15)
         self._shape = beams.grid.shape
         nx, ny = self._shape
         # grid sizes are powers of two, so the blocks tile the grid exactly
         rows = min(nx, max(1, _BLOCK_POINTS // ny))
         self._blocks = [slice(start, start + rows) for start in range(0, nx, rows)]
         # work arrays of one block: two series terms, a product, the lower
-        # density, a real scratch, the diagonal and six couplings;
-        # the real ones are contiguous, which numpy writes faster than the
-        # real part of a complex array
+        # density, the real diagonal of levels 1..3, the diagonal and six
+        # couplings; the real ones are contiguous, which numpy writes faster
+        # than the real part of a complex array
         self._terms = np.empty((2, 5, rows, ny), dtype=np.complex128)
         self._tmp = np.empty((rows, ny), dtype=np.complex128)
         self._rho_low = np.empty((rows, ny))
-        self._real = np.empty((5, rows, ny))
+        self._real = np.empty((3, rows, ny))
         # -i*dt times the real diagonal: each block writes only the
-        # imaginary part, so no float-to-complex cast buffer
+        # imaginary part of rows 0..2, so no float-to-complex cast buffer;
+        # rows 3 and 4 hold the excited levels' constant detunings
         self._diag = np.zeros((5, rows, ny), dtype=np.complex128)
+        self._diag[3].imag = beams.eps14 * -dt
+        self._diag[4].imag = beams.eps15 * -dt
         self._scaled = np.empty((6, rows, ny), dtype=np.complex128)
 
     def _check_shape(self, state: MatterState):
@@ -273,9 +283,8 @@ class SplitStepper:
         modulus so far (``|z| <= sqrt(2) * max(|Re z|, |Im z|)``), so the
         scale is the same value either way.  A term's convergence test
         reduces its largest part first and its smallest only when that
-        largest is within the tolerance.  On a block where the excited
-        levels' diagonal (trap plus eps14/eps15) is zero, their rows skip
-        the diagonal product.
+        largest is within the tolerance.  Where eps14 and eps15 are both
+        zero, the excited levels' rows skip the diagonal product.
         """
         self._check_shape(state)
         phi = state.phi
@@ -307,13 +316,13 @@ class SplitStepper:
             for part in (p.real, p.imag):
                 np.square(part, out=real[0])
                 rho_low += real[0]
-        np.add(state.traps[:, block], self._eps[:, None, None], out=real)
         np.multiply(state.u, rho_low, out=rho_low)
-        # level by level: broadcasting rho_low over real[:3] goes through a
-        # ufunc buffer
-        for level in real[:3]:
-            level += rho_low
-        np.multiply(real, -self.dt, out=diag.imag)
+        # V1 on the ground level, the two-photon detunings on levels 2 and 3,
+        # each plus the mean field
+        np.add(state.traps[block], rho_low, out=real[0])
+        for level, eps in zip(real[1:], self._eps):
+            np.add(rho_low, eps, out=level)
+        np.multiply(real, -self.dt, out=diag.imag[:3])
         p1, p2, p1c, p2c, c1c, c2c = self._scaled
         for out, a in zip((p1, p2), self._probes):
             np.multiply(scale, a[block], out=out)
@@ -324,11 +333,9 @@ class SplitStepper:
             np.conjugate(out, out=out)
         couplings = ((0, p1c, 3), (0, p2c, 4), (1, c1c, 3), (2, c2c, 4),
                      (3, p1, 0), (3, c1, 1), (4, p2, 0), (4, c2, 2))
-        if real[3:].any():
+        if self._excited_diag:
             ndiag, heads, adds = 5, (), couplings
         else:
-            # the excited rows' diagonal is zero: their first coupling
-            # product opens the term, and the diagonal product stops at row 2
             ndiag, heads, adds = 3, couplings[4::2], couplings[:4] + couplings[5::2]
         # term k is built from term k-1, in the other buffer; term 0 is phi
         src = phi
@@ -378,8 +385,8 @@ class SplitStepper:
         if which < 5:
             # building diag left u*rho, the mean field of levels 1..3, in _rho_low
             mean = f", mean field u*rho = {self._rho_low[i, j]:.3e}" if which < 3 else ""
-            cause = (f"the level-{which + 1} diagonal "
-                     f"(trap V{which + 1} = {state.traps[which, block][i, j]:.3e}{mean})")
+            trap = state.traps[block][i, j] if which == 0 else 0.0
+            cause = f"the level-{which + 1} diagonal (trap V{which + 1} = {trap:.3e}{mean})"
         else:
             row, _, col = couplings[which - 5]
             cause = f"the {names[which - 5]} coupling of levels {row + 1} and {col + 1}"

@@ -5,29 +5,30 @@ is (1, -xi1, -xi2)/sqrt(Xi1), Xi1 = 1 + s1 + s2 with s_j = |xi_j|^2, and the
 two reduced vortex flavors see real effective vector potentials built from
 the two phase currents J_j = Im(xi_j* grad xi_j) = s_j grad R_j:
 
-    A1 = (J1 + J2) / Xi1
-    A2 = (J1 - (1 + s1) J2 / s2) / Xi1
-    A3 = (J2 - (1 + s2) J1 / s1) / Xi1
+    A1 = (J1 + J2) / Xi1                = (s1 grad R1 + s2 grad R2) / Xi1
+    A2 = (J1 - (1 + s1) J2 / s2) / Xi1  = (s1 grad R1 - (1 + s1) grad R2) / Xi1
+    A3 = (J2 - (1 + s2) J1 / s1) / Xi1  = (s2 grad R2 - (1 + s2) grad R1) / Xi1
 
 These are the imaginary parts of the complex dark-state potentials (see
 ``docs/gauge_identities.md``); the normalization factors of the reduced
 flavor equations are Xi1, Xi2 = Xi1/s2 and Xi3 = Xi1/s1.
+
+The beams fix each ratio's phase, R_j = l_j phi + (kp_j - kc_j) . r, so
+grad R_j = l_j grad(phi) + kp_j - kc_j is taken in closed form and the
+right-hand forms divide by Xi1 >= 1 alone.  They are evaluated wherever
+both ratio moduli are above 1e-6 of their peaks; the other points, among
+them the axis point of a vortex probe, hold NaN.
 
 Conventions fixed by the stationary vortex solutions: for equal ratio
 moduli, opposite probe charges l1 = -l2 = l and no wavevector tilts,
 A1 = 0 and A2 = -A3 = +l grad(phi), so a flavor-2 vortex exp(+il phi) with
 charge q2 = +1 is covariantly constant.
 
-These potentials are evaluated on a mask that excludes a disc of radius
-2*max(dx, dy) around the beam axis and any point where a ratio modulus
-falls below a relative floor; excluded points hold NaN.
-
-Runs do not use them.  In ``flavor_fields`` each reduced flavor follows its
-own ratio, for any beam pair (Juzeliunas, Ohberg, Ruseckas & Klein, PRA 71
-(2005) 053614; Dalibard, Gerbier, Juzeliunas & Ohberg, RMP 83 (2011) 1523):
-the beams fix its phase, R_q = l_q phi + (kp_q - kc_q) . r, so its gradient
-J_q/|xi_q|^2 is taken in closed form, with no mask.  At the degenerate point
-grad R1 = A2 and grad R2 = A3.
+Runs do not use these potentials.  In ``flavor_fields`` each reduced flavor
+follows its own ratio, for any beam pair (Juzeliunas, Ohberg, Ruseckas &
+Klein, PRA 71 (2005) 053614; Dalibard, Gerbier, Juzeliunas & Ohberg, RMP 83
+(2011) 1523): flavor q sees grad R_q = J_q/|xi_q|^2, with no mask.  At the
+degenerate point grad R1 = A2 and grad R2 = A3.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .beams import BeamSet, ratio_factors
 from .errors import MaskError, TrapSolveError
 from .evolution import qp_cancel_potential
-from .grid import SpectralGrid, gradient
+from .grid import SpectralGrid
 
 __all__ = [
     "EffectiveGauge",
@@ -49,29 +50,10 @@ __all__ = [
     "effective_potentials",
     "solve_traps",
     "vortex_gauge_field",
-    "fill_masked",
 ]
 
 # ratio moduli below this fraction of their peak are left out of the mask
 _XI_FLOOR = 1e-6
-
-
-def _vector_gradient(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    # Transform real and imaginary parts separately and keep the real part
-    # of each gradient (the rest is ifft roundoff): conjugate-pair ratios
-    # (xi2 = conj(xi1), the degenerate configuration) then get exactly
-    # conjugate gradients, so J2 = -J1 and the cancellations A1 = 0 and
-    # A2 + A3 = 0 hold exactly, where a single complex transform would leave
-    # noise amplified by 1/|xi| at the floor of the evaluation mask.
-    rx, ry = gradient(values.real, grid)
-    ix, iy = gradient(values.imag, grid)
-    return np.stack([rx.real + 1j * ix.real, ry.real + 1j * iy.real])
-
-
-def _phase_current(xi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """J = Im(xi* grad xi) = |xi|^2 grad R, shape (2, nx, ny)."""
-    g = _vector_gradient(xi, grid)
-    return xi.real * g.imag - xi.imag * g.real
 
 
 def _abs2(vec: np.ndarray) -> np.ndarray:
@@ -100,43 +82,30 @@ class EffectiveGauge:
         return iter((self.a1, self.a2, self.a3))
 
 
-def gauge_potentials(
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    grid: SpectralGrid,
-) -> EffectiveGauge:
-    """Effective vector potentials A1, A2, A3 from the two beam ratios.
+def gauge_potentials(beams: BeamSet) -> EffectiveGauge:
+    """Effective vector potentials A1, A2, A3 of the beams' two ratios.
 
-    Gradients are spectral.  The evaluation mask drops a disc of radius
-    ``2*max(dx, dy)`` around the axis plus every point where ``|xi_j|`` is
-    below 1e-6 of its own peak; masked points are NaN.  Raises
-    :class:`~vxsim.errors.MaskError` if nothing survives.
+    Each ratio's phase gradient is ``vortex_gauge_field(grid, l_j)`` plus
+    its tilt ``kp_j - kc_j``, as in :func:`flavor_fields`.  The mask keeps
+    every point where both ``|xi_j|`` are above 1e-6 of their own peaks;
+    masked points are NaN.  Raises :class:`~vxsim.errors.MaskError` if
+    nothing survives or a control underflows.
     """
-    xi1 = np.asarray(xi1, dtype=np.complex128)
-    xi2 = np.asarray(xi2, dtype=np.complex128)
-    if xi1.shape != grid.shape or xi2.shape != grid.shape:
-        raise ValueError("xi fields must match the grid shape")
-
-    m1 = np.abs(xi1)
-    m2 = np.abs(xi2)
-    mask = (
-        (grid.r_map > 2.0 * max(grid.dx, grid.dy))
-        & (m1 > _XI_FLOOR * float(m1.max()))
-        & (m2 > _XI_FLOOR * float(m2.max()))
-    )
+    grid = beams.grid
+    (m1, l1, k1), (m2, l2, k2) = ratio_factors(beams)
+    mask = (m1 > _XI_FLOOR * float(m1.max())) & (m2 > _XI_FLOOR * float(m2.max()))
     if not mask.any():
-        raise MaskError("no evaluable points: ratios below floor everywhere outside the core")
+        raise MaskError("no evaluable points: a ratio is below its floor everywhere")
 
     s1 = m1**2
     s2 = m2**2
-    j1 = _phase_current(xi1, grid)
-    j2 = _phase_current(xi2, grid)
+    g1 = vortex_gauge_field(grid, l1) + k1[:, None, None]
+    g2 = vortex_gauge_field(grid, l2) + k2[:, None, None]
     big1 = 1.0 + s1 + s2
 
-    a1 = (j1 + j2) / big1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a2 = (j1 - (1.0 + s1) * j2 / s2) / big1
-        a3 = (j2 - (1.0 + s2) * j1 / s1) / big1
+    a1 = (s1 * g1 + s2 * g2) / big1
+    a2 = (s1 * g1 - (1.0 + s1) * g2) / big1
+    a3 = (s2 * g2 - (1.0 + s2) * g1) / big1
 
     bad = ~mask
     for arr in (a1, a2, a3):
@@ -304,9 +273,3 @@ def vortex_gauge_field(grid: SpectralGrid, l: int) -> np.ndarray:
     ay[origin] = 0.0
     return np.stack([ax, ay])
 
-
-def fill_masked(field: np.ndarray) -> np.ndarray:
-    """Copy with NaN replaced by 0 (for feeding masked outputs to evolution)."""
-    out = np.array(field, copy=True)
-    out[~np.isfinite(out)] = 0.0
-    return out

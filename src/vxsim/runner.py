@@ -214,15 +214,14 @@ def _run_full_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: list,
                      n_steps: int, capture_at: int | None = None):
     """Drive the five-field run; returns (final_state, captured, result), where
     ``captured`` is ``(ground component, time)`` after ``capture_at`` steps."""
-    traps = np.zeros((5,) + scenario.grid.shape)
+    v1 = np.zeros(scenario.grid.shape)
     if cfg.physics.traps == "engineered":
         # V1 = qp_cancel(rho) - u rho holds the background against its quantum
         # pressure and its own mean field, so the ground component stands
         # still; the slaved levels need no trap of their own
-        v1 = traps[0]
         np.multiply(scenario.rho, -cfg.physics.u, out=v1)
         v1 += qp_cancel_potential(scenario.grid, scenario.rho)
-    state = initial_state(scenario.grid, scenario.rho, traps, cfg.physics.u)
+    state = initial_state(scenario.grid, scenario.rho, v1, cfg.physics.u)
     snaps = _snapshot_steps(cfg, n_steps)
     captured = {}
 

@@ -93,8 +93,8 @@ class KrylovWork:
 def _require_finite(name: str, arr: np.ndarray):
     if not np.all(np.isfinite(arr)):
         raise ValueError(
-            f"{name} contains non-finite values; fill masked gauge outputs "
-            "(gauge.fill_masked) before evolving"
+            f"{name} contains non-finite values; replace the NaN of masked "
+            "gauge outputs (numpy.nan_to_num) before evolving"
         )
 
 

@@ -104,9 +104,7 @@ def test_gauge_degeneracy_fine_grid():
     failures = []
     grid = make_grid(256, 256, 16.0, 16.0)
     for l in (1, 2):
-        beams = lg_beams(grid, l, -l, 0.8, 2.0, 12.0, 6.0)
-        xi1, xi2 = xi_ratios(beams)
-        gauge = gauge_potentials(xi1, xi2, grid)
+        gauge = gauge_potentials(lg_beams(grid, l, -l, 0.8, 2.0, 12.0, 6.0))
         scale = np.nanmax(np.abs(gauge.a2))
         r1 = np.nanmax(np.abs(gauge.a1)) / scale
         r23 = np.nanmax(np.abs(gauge.a2 + gauge.a3)) / scale
@@ -157,21 +155,20 @@ def _strang_factor():
     beams = lg_beams(grid, 1, -1, 0.8, 2.0, 12.0, 6.0)
     rho = thomas_fermi_density(grid, 1.0, 5.0, 0.05)
     v1 = qp_cancel_potential(grid, rho)
-    xi1, xi2 = xi_ratios(beams)
-    gauge = gauge_potentials(xi1, xi2, grid)
-    sol = solve_traps(v1, gauge, eps21=0.0, eps31=0.0, rtol=np.inf)
-    traps = np.zeros((5,) + grid.shape)
-    traps[0], traps[1], traps[2] = v1, sol.v2, sol.v3
+    # the degenerate pair's solved traps are V2 = V3 = 0 exactly, so V1
+    # alone is the engineered state
+    sol = solve_traps(v1, gauge_potentials(beams), eps21=0.0, eps31=0.0, rtol=np.inf)
+    solved = max(float(np.abs(sol.v2).max()), float(np.abs(sol.v3).max()))
 
     def endpoint(dt, n):
-        state = initial_state(grid, rho, traps, 0.02)
+        state = initial_state(grid, rho, v1, 0.02)
         run_adiabatic_loading(state, beams, dt, n, Ramp(1.0), fidelity_floor=0.0)
         return np.concatenate([p.ravel() for p in state.phi])
 
     psi1 = endpoint(0.01, 100)
     psi2 = endpoint(0.005, 200)
     psi4 = endpoint(0.0025, 400)
-    return np.linalg.norm(psi1 - psi2) / np.linalg.norm(psi2 - psi4)
+    return np.linalg.norm(psi1 - psi2) / np.linalg.norm(psi2 - psi4), solved
 
 
 def _constant_gauge_error():
@@ -201,8 +198,9 @@ def test_numerical_integrity(compare_l1):
     for alpha in (2, 3):
         d = v[f"effective.norm_drift{alpha}"] * 2.0
         _check(failures, d < 1e-8, f"reduced drift{alpha}/kstep {d:.3e}")
-    factor = _strang_factor()
+    factor, solved = _strang_factor()
     _check(failures, 3.5 <= factor <= 4.5, f"step-halving factor {factor:.3f}")
+    _check(failures, solved == 0.0, f"solved traps V2, V3 reach {solved:.3e}")
     gauge_err = _constant_gauge_error()
     _check(failures, gauge_err < 1e-8, f"constant-gauge oracle {gauge_err:.3e}")
     _verdict("criterion 5 numerical integrity", failures)
@@ -249,8 +247,7 @@ def test_effective_potential_algebra():
         p2=0.08 * np.exp(-r2 / 18.0),
         c1=ones, c2=ones, l1=0, l2=0,
     )
-    xi1, xi2 = xi_ratios(beams)
-    gauge = gauge_potentials(xi1, xi2, grid)
+    gauge = gauge_potentials(beams)
     v1 = np.zeros(grid.shape)
     sol = solve_traps(v1, gauge, eps21=-0.4, eps31=0.4)
     _, ve2, ve3 = effective_potentials(v1, sol.v2, sol.v3, gauge, eps21=-0.4, eps31=0.4)
@@ -262,8 +259,7 @@ def test_effective_potential_algebra():
     v0 = 0.37 * ones
     flat = BeamSet(grid=grid, p1=0.05 * ones, p2=0.08 * ones,
                    c1=ones, c2=ones, l1=0, l2=0)
-    y1, y2 = xi_ratios(flat)
-    g2 = gauge_potentials(y1, y2, grid)
+    g2 = gauge_potentials(flat)
     w1, _, _ = effective_potentials(v0, v0, v0, g2)
     dev = float(np.nanmax(np.abs(w1 - v0)))
     _check(failures, dev <= 1e-14, f"V1eff deviates from V0 by {dev:.3e}")

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,20 +25,16 @@ from vxsim.two_flavor import evolve_two_flavor
 
 
 def _loaded_state(grid, u):
-    """Thomas-Fermi background with traps on every component."""
+    """Thomas-Fermi background under its quantum-pressure trap V1."""
     rho = thomas_fermi_density(grid, 1.0, 5.0)
-    traps = np.zeros((5,) + grid.shape)
-    traps[0] = qp_cancel_potential(grid, rho)
-    traps[1] = traps[2] = 0.01 * grid.r_map**2
-    traps[3] = traps[4] = 0.5
-    return initial_state(grid, rho, traps, u)
+    return initial_state(grid, rho, qp_cancel_potential(grid, rho), u)
 
 
 def _blank_state(grid, u=0.0):
     return MatterState(
         grid=grid,
         phi=np.zeros((5,) + grid.shape, dtype=complex),
-        traps=np.zeros((5,) + grid.shape),
+        traps=np.zeros(grid.shape),
         u=u,
     )
 
@@ -45,15 +42,16 @@ def _blank_state(grid, u=0.0):
 def test_state_shape_validation(grid16):
     with pytest.raises(ValueError, match="phi"):
         MatterState(grid=grid16, phi=np.zeros((4,) + grid16.shape),
-                    traps=np.zeros((5,) + grid16.shape), u=0.0)
-    with pytest.raises(ValueError, match="traps"):
-        MatterState(grid=grid16, phi=np.zeros((5,) + grid16.shape),
                     traps=np.zeros(grid16.shape), u=0.0)
+    # V1 is the only trap: a stack of one per level is rejected
+    with pytest.raises(ValueError, match=r"traps must have shape \(nx, ny\)"):
+        MatterState(grid=grid16, phi=np.zeros((5,) + grid16.shape),
+                    traps=np.zeros((5,) + grid16.shape), u=0.0)
 
 
 def test_initial_state_population(grid64):
     rho = thomas_fermi_density(grid64, 1.0, 5.0)
-    state = initial_state(grid64, rho, np.zeros((5,) + grid64.shape), 0.0)
+    state = initial_state(grid64, rho, np.zeros(grid64.shape), 0.0)
     pops = state.populations()
     assert pops[0] == pytest.approx(grid64.integrate(rho))
     assert np.all(pops[1:] == 0.0)
@@ -98,11 +96,11 @@ def _eigh_local_step(state, beams, dt, scale=1.0):
     diagonalization of each pointwise 5x5 matrix."""
     dens = np.abs(state.phi) ** 2
     mf = state.u * (dens[0] + dens[1] + dens[2])
-    eps = (0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15)
+    diag = (state.traps + mf, beams.eps12 + mf, beams.eps13 + mf, beams.eps14, beams.eps15)
     n = state.grid.nx * state.grid.ny
     m = np.zeros((n, 5, 5), dtype=np.complex128)
     for a in range(5):
-        m[:, a, a] = (eps[a] + state.traps[a] + (mf if a < 3 else 0.0)).ravel()
+        m[:, a, a] = np.ravel(diag[a])
     for row, col, omega in ((3, 0, scale * beams.omega_p1()), (4, 0, scale * beams.omega_p2()),
                             (3, 1, beams.omega_c1()), (4, 2, beams.omega_c2())):
         m[:, row, col] = omega.ravel()
@@ -124,13 +122,15 @@ def _oracle_step(state, beams, dt, scale):
 
 def test_engines_agree(weak_beams64, grid64):
     grid32 = make_grid(32, 32, 16.0, 16.0)
-    # the standard weak pair, and the acceptance strengths (controls 12,
-    # probes 0.8) with tilted controls and level shifts, so that every
-    # coupling is complex and every detuning non-zero
+    # the standard weak pair with an excited-level detuning, and the
+    # acceptance strengths (controls 12, probes 0.8) with tilted controls and
+    # level shifts, so that every coupling is complex and every detuning
+    # non-zero
+    weak = replace(weak_beams64, eps14=0.5, eps15=0.5)
     acceptance = lg_beams(grid32, l1=1, l2=-1, probe_peak=0.8, probe_waist=2.0,
                           control_peak=12.0, control_waist=6.0, kc1=(0.4, 0.0),
                           kc2=(0.0, -0.4), eps12=0.02, eps13=-0.03, eps14=0.5, eps15=-0.4)
-    for grid, beams, u in ((grid64, weak_beams64, 0.4), (grid32, acceptance, 0.02)):
+    for grid, beams, u in ((grid64, weak, 0.4), (grid32, acceptance, 0.02)):
         a = _loaded_state(grid, u)
         # populate every level so that every coupling acts
         for level in range(1, 5):
@@ -172,7 +172,7 @@ def test_free_gaussian_spreading(grid64, uniform_beams):
 
 def test_norm_conservation_during_loading(weak_beams64, grid64):
     rho = thomas_fermi_density(grid64, 1.0, 5.0)
-    state = initial_state(grid64, rho, np.zeros((5,) + grid64.shape), 0.4)
+    state = initial_state(grid64, rho, np.zeros(grid64.shape), 0.4)
     # 50 steps cover 2% of the ramp, so the final fidelity check warns
     with pytest.warns(AdiabaticityWarning):
         result = run_adiabatic_loading(
@@ -254,7 +254,7 @@ def test_qp_cancel_exact_on_smooth_density(grid64, uniform_beams):
     def deviation(dt, n):
         state = _blank_state(grid64)
         state.phi[0] = base
-        state.traps[0] = v1
+        state.traps = v1
         for _ in range(n):
             step(state, beams, dt)
         diff = np.abs(state.phi[0]) ** 2 - rho
@@ -274,7 +274,7 @@ def test_qp_cancel_holds_thomas_fermi(grid64, uniform_beams):
     def density_change(trap):
         state = _blank_state(grid64)
         state.phi[0] = np.sqrt(rho)
-        state.traps[0] = trap
+        state.traps = trap
         for _ in range(50):
             step(state, beams, 0.004)
         return float(np.max(np.abs(np.abs(state.phi[0]) ** 2 - rho)) / rho.max())
@@ -492,7 +492,7 @@ def test_kicks_apply_the_closed_form_phases(uniform_beams, grid16):
 def test_norm_and_populations_square_one_component_at_a_time(grid64):
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((5, 64, 64)) + 1j * rng.standard_normal((5, 64, 64))
-    state = MatterState(grid64, phi, np.zeros((5, 64, 64)), 0.1)
+    state = MatterState(grid64, phi, np.zeros((64, 64)), 0.1)
     (norm, pops), _, peak = _traced(lambda: (state.norm(), state.populations()))
     # a (5, nx, ny) density stack and its sum made 3 complex planes
     assert peak / (grid64.k2.size * 16) < 2.0
@@ -536,13 +536,15 @@ def test_stepper_derives_the_conjugate_couplings_exactly(grid16):
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
-def _golden_local(stepper, state, scale):
+def _golden_local(stepper, beams, state, scale):
     """The local series as it stood before its passes were cut, term by
-    term: the scale from every ``|phi|``, the dense diagonal product, the
-    eight coupling products in this order, ``term *= 1/k`` and the
-    two-sided ``max(max, -min)`` test.  Updates ``state.phi`` like
+    term: the scale from every ``|phi|``, a diagonal of five trap planes
+    (V1 and four zero planes) plus the detunings, the dense diagonal
+    product, the eight coupling products in this order, ``term *= 1/k`` and
+    the two-sided ``max(max, -min)`` test.  Updates ``state.phi`` like
     ``stepper.local`` and returns the terms it took."""
     phi, dt = state.phi, stepper.dt
+    eps = np.array([0.0, beams.eps12, beams.eps13, beams.eps14, beams.eps15])
     tol = 1e-16 * float(np.max(np.abs(phi))) / np.sqrt(2.0)
     terms = 0
     for block in stepper._blocks:
@@ -551,7 +553,9 @@ def _golden_local(stepper, state, scale):
         for c in p[:3]:
             rho_low += c.real ** 2
             rho_low += c.imag ** 2
-        real = state.traps[:, block] + stepper._eps[:, None, None]
+        traps = np.zeros(p.shape)
+        traps[0] = state.traps[block]
+        real = traps + eps[:, None, None]
         real[:3] += state.u * rho_low
         diag = np.zeros(p.shape, dtype=complex)
         diag.imag = real * -dt
@@ -577,11 +581,10 @@ def _golden_local(stepper, state, scale):
     return terms
 
 
-def _populated(grid, u, excited_trap):
+def _populated(grid, u):
     """A loaded state with every level populated, so that every coupling
-    acts, and ``excited_trap`` on levels 4 and 5."""
+    acts."""
     state = _loaded_state(grid, u)
-    state.traps[3:] = excited_trap
     for level in range(1, 5):
         state.phi[level] = 0.1 * np.exp(1j * level * grid.phi_map) * state.phi[0]
     return state
@@ -589,23 +592,22 @@ def _populated(grid, u, excited_trap):
 
 def _golden_cases(weak_beams64, grid64):
     # (a) the weak pair, no excited diagonal: rows 4 and 5 skip it
-    yield "weak", weak_beams64, _populated(grid64, 0.4, 0.0), 0.004
+    yield "weak", weak_beams64, _populated(grid64, 0.4), 0.004
     # (b) the acceptance strengths with tilted controls and level shifts
     grid32 = make_grid(32, 32, 16.0, 16.0)
     acceptance = lg_beams(grid32, l1=1, l2=-1, probe_peak=0.8, probe_waist=2.0,
                           control_peak=12.0, control_waist=6.0, kc1=(0.4, 0.0),
                           kc2=(0.0, -0.4), eps12=0.02, eps13=-0.03, eps14=0.5, eps15=-0.4)
-    yield "acceptance", acceptance, _populated(grid32, 0.02, 0.0), 0.004
-    # (c) two 16-row blocks, a V4 trap on the first one's rows only
+    yield "acceptance", acceptance, _populated(grid32, 0.02), 0.004
+    # (c) two 16-row blocks under an excited-level detuning: the second
+    # block takes the same diagonal of rows 4 and 5 as the first
     wide = make_grid(32, 256, 16.0, 16.0)
-    state = _populated(wide, 0.4, 0.0)
-    state.traps[3, :16] = 0.5
     beams = lg_beams(wide, l1=1, l2=-1, probe_peak=0.3, probe_waist=2.0,
-                     control_peak=10.0, control_waist=6.0)
-    yield "split-trap", beams, state, 0.001
+                     control_peak=10.0, control_waist=6.0, eps14=0.5)
+    yield "two-blocks", beams, _populated(wide, 0.4), 0.001
     # (d) the largest modulus in an excited level, so that its |phi| is
     # taken; the tolerance of the ground's alone would cost a term more
-    state = _populated(grid64, 0.4, 0.0)
+    state = _populated(grid64, 0.4)
     state.phi[3] = 1e3 * np.exp(0.25j * np.pi) * state.phi[0]
     assert np.abs(state.phi[3]).max() > np.abs(state.phi[:3]).max()
     yield "excited-peak", weak_beams64, state, 0.004
@@ -616,29 +618,28 @@ def test_local_series_matches_the_golden_model(weak_beams64, grid64):
     for name, beams, a, dt in _golden_cases(weak_beams64, grid64):
         b = a.copy()
         stepper = SplitStepper(beams, dt)
-        if name == "split-trap":
+        if name == "two-blocks":
             assert len(stepper._blocks) == 2
         stepper.local(a, 0.7)
-        terms = _golden_local(stepper, b, 0.7)
+        terms = _golden_local(stepper, beams, b, 0.7)
         assert np.array_equal(a.phi, b.phi), name
         assert stepper.terms == terms, name
 
 
-def _overflowing_state(grid, last):
-    """A state whose series overflows to -inf in real parts only while its
-    largest part stays finite and above the tolerance: in term 1, or (with
-    ``last``) in the last term the series takes."""
+def _overflowing_case(beams, grid, last):
+    """Beams and a state whose series overflows to -inf in real parts only
+    while its largest part stays finite and above the tolerance: in term 1,
+    or (with ``last``) in the last term the series takes."""
     state = _blank_state(grid)
     if last:
         # pure diagonal growth on the excited levels, term k = (-i d)^k/k! phi
         # with d = 64 on level 4 and 32 on level 5; term 32 of level 4
         # overflows to -inf, level 5's stays finite and positive
-        state.traps[3], state.traps[4] = 64.0, 32.0
         state.phi[3], state.phi[4] = -3.5e284, 3.5e284
-    else:
-        state.traps[0], state.traps[1] = -1e200, 1.0
-        state.phi[0] = state.phi[1] = 1e150j
-    return state
+        return beams(grid, eps14=64.0, eps15=32.0), state
+    state.traps[:] = -1e200
+    state.phi[0] = state.phi[1] = 1e150j
+    return beams(grid, eps12=1.0), state
 
 
 @pytest.mark.parametrize("last", [False, True])
@@ -646,8 +647,9 @@ def test_series_flags_a_term_gone_to_minus_inf(uniform_beams, grid16, last):
     # the convergence test reduces a term's smallest part only when its
     # largest is within the tolerance; a -inf beside a large finite maximum
     # is still reported as non-finite, in the step it appears in
-    stepper = SplitStepper(uniform_beams(grid16), 1.0)
+    beams, state = _overflowing_case(uniform_beams, grid16, last)
+    stepper = SplitStepper(beams, 1.0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DivergenceError, match="non-finite") as exc:
-        stepper.local(_overflowing_state(grid16, last))
+        stepper.local(state)
     assert exc.value.step == 0

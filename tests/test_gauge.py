@@ -3,36 +3,43 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vxsim.beams import lg_beams, xi_ratios
+from vxsim.beams import BeamSet, lg_beams, ratio_factors, xi_ratios
 from vxsim.diagnostics import LoopSpec, loop_integral
-from vxsim.errors import MaskError, TrapSolveError
+from vxsim.errors import MaskError, TrapSolveError, WeakProbeWarning
 from vxsim.evolution import qp_cancel_potential, thomas_fermi_density
 from vxsim.gauge import (
-    _phase_current,
-    _vector_gradient,
     effective_potentials,
-    fill_masked,
     flavor_fields,
     gauge_potentials,
     solve_traps,
     vortex_gauge_field,
 )
-from vxsim.grid import make_grid
+from vxsim.grid import gradient, make_grid
 
 
 def vec_mag(v):
     return np.hypot(v[0], v[1])
 
 
+def unit_control_beams(grid, p1, p2, l1=0, l2=0):
+    """Beams whose ratios are the probe envelopes themselves (c_j = 1)."""
+    ones = np.ones(grid.shape)
+    return BeamSet(grid=grid, p1=p1, p2=p2, c1=ones, c2=ones, l1=l1, l2=l2)
+
+
 @pytest.fixture(scope="module")
-def synthetic_ring_ratios(grid128):
-    # conjugate-phase ratio pair with distinct radial envelopes; narrow
-    # enough that the amplitudes reach machine zero inside the box, so the
-    # spectral gradients are Gibbs-free up to roundoff
-    r, ph = grid128.r_map, grid128.phi_map
+def synthetic_ring_beams(grid128):
+    # opposite unit windings with distinct radial envelopes
+    r = grid128.r_map
     f1 = 0.20 * (r / 1.2) * np.exp(-((r / 1.2) ** 2))
     f2 = 0.35 * (r / 1.5) * np.exp(-((r / 1.5) ** 2))
-    return f1, f2, f1 * np.exp(1j * ph), f2 * np.exp(-1j * ph)
+    with pytest.warns(WeakProbeWarning):
+        return unit_control_beams(grid128, f1, f2, l1=1, l2=-1)
+
+
+def spectral_phase_current(xi, grid):
+    """J = Im(xi* grad xi) of a ratio field, from its spectral gradient."""
+    return (np.conj(xi) * np.stack(gradient(xi, grid))).imag
 
 
 def test_symbolic_phase_gradient_closed_forms():
@@ -72,9 +79,9 @@ def test_symbolic_phase_gradient_closed_forms():
     assert on_axis(sp.im(a2[1] + a3[1] - 2 * a1[1])) == 0
 
 
-def test_numeric_closed_forms_independent_envelopes(grid128, synthetic_ring_ratios):
-    f1, f2, xi1, xi2 = synthetic_ring_ratios
-    g = gauge_potentials(xi1, xi2, grid128)
+def test_numeric_closed_forms_independent_envelopes(grid128, synthetic_ring_beams):
+    f1, f2 = synthetic_ring_beams.p1, synthetic_ring_beams.p2
+    g = gauge_potentials(synthetic_ring_beams)
     r = grid128.r_map
     inner = g.mask & (r < 3.5)
     denom = r[inner] * (1.0 + f1**2 + f2**2)[inner]
@@ -92,12 +99,10 @@ def test_numeric_closed_forms_independent_envelopes(grid128, synthetic_ring_rati
         assert np.nanmax(rad[inner]) < 1e-10 * np.nanmax(vec_mag(a)[inner] + 1.0)
 
 
-def test_combination_identity_general_amplitudes(grid128, synthetic_ring_ratios):
+def test_combination_identity_general_amplitudes(synthetic_ring_beams):
     # Im(A2 + A3 - 2 A1) = -grad(R1 + R2) for any moduli, which vanishes
-    # for opposite phase windings; held to the 1/|xi| roundoff
-    # amplification at the mask floor
-    _, _, xi1, xi2 = synthetic_ring_ratios
-    g = gauge_potentials(xi1, xi2, grid128)
+    # for opposite phase windings
+    g = gauge_potentials(synthetic_ring_beams)
     comb = vec_mag(g.a2 + g.a3 - 2.0 * g.a1)
     assert np.nanmax(comb[g.mask]) < 1e-8 * np.nanmax(vec_mag(g.a2))
 
@@ -110,19 +115,24 @@ def test_combination_identity_general_amplitudes(grid128, synthetic_ring_ratios)
     ],
 )
 def test_real_forms_match_complex_definitions(grid128, l1, l2, tilts):
-    """The phase-current forms equal the imaginary parts of the complex
-    dark-state potentials, collected over a common denominator."""
+    """The phase-gradient forms equal the imaginary parts of the complex
+    dark-state potentials, collected over a common denominator, with
+    grad xi_j = xi_j (grad m_j / m_j + i grad R_j): spectral moduli
+    gradients and closed-form phase gradients."""
     beams = lg_beams(
         grid128, l1=l1, l2=l2, probe_peak=0.3, probe_waist=2.0,
         control_peak=10.0, control_waist=6.0, **tilts,
     )
     xi1, xi2 = xi_ratios(beams)
-    g = gauge_potentials(xi1, xi2, grid128)
+    g = gauge_potentials(beams)
 
-    g1 = _vector_gradient(xi1, grid128)
-    g2 = _vector_gradient(xi2, grid128)
     big1 = 1.0 + np.abs(xi1) ** 2 + np.abs(xi2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
+        g1, g2 = (
+            xi * (np.stack(gradient(m, grid128)).real / m
+                  + 1j * (vortex_gauge_field(grid128, l) + k[:, None, None]))
+            for xi, (m, l, k) in zip((xi1, xi2), ratio_factors(beams))
+        )
         ref = (
             (np.conj(xi1) * g1 + np.conj(xi2) * g2) / big1,
             (-g2 + np.conj(xi1) * (xi2 * g1 - xi1 * g2)) / (big1 * xi2),
@@ -137,10 +147,8 @@ def test_real_forms_match_complex_definitions(grid128, l1, l2, tilts):
 
 def test_degenerate_ratios_collapse(weak_beams64, grid64):
     """For pointwise-equal ratio moduli with opposite windings, A1 = 0 and
-    A2 = -A3 = l grad(phi).  The cancellations survive at the mask floor
-    because conjugate-pair inputs get conjugate-pair spectral gradients."""
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
+    A2 = -A3 = l grad(phi)."""
+    g = gauge_potentials(weak_beams64)
     scale = np.nanmax(vec_mag(g.a2))
     assert np.nanmax(vec_mag(g.a1)) < 1e-15 * scale
     assert np.nanmax(vec_mag(g.a2 + g.a3)) < 1e-10 * scale
@@ -151,14 +159,14 @@ def test_degenerate_ratios_collapse(weak_beams64, grid64):
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_flavor_fields_of_the_degenerate_pair(grid128, l):
-    """The conjugate pair xi2 = conj(xi1) gets exactly conjugate gradients,
-    so J2 = -J1: the paper's A1 = 0 and A2 + A3 = 0 hold exactly, and so do
-    a3 = -a2 and W3 = W2.  Flavor 2's field is the pure vortex field
-    l grad(phi), with no core cut out."""
+    """The conjugate pair xi2 = conj(xi1) has grad R2 = -grad R1 and equal
+    moduli, so J2 = -J1: the paper's A1 = 0 and A2 + A3 = 0 hold exactly,
+    and so do a3 = -a2 and W3 = W2.  Flavor 2's field is the pure vortex
+    field l grad(phi), with no core cut out."""
     beams = lg_beams(grid128, l, -l, 0.8, 2.0, 12.0, 6.0)
     xi1, xi2 = xi_ratios(beams)
     assert np.array_equal(xi2, np.conj(xi1))
-    g = gauge_potentials(xi1, xi2, grid128)
+    g = gauge_potentials(beams)
     assert np.nanmax(np.abs(g.a1)) == 0.0
     assert np.nanmax(np.abs(g.a2 + g.a3)) == 0.0
 
@@ -221,54 +229,71 @@ def test_flavor_fields_are_each_ratios_phase_gradient(grid64, grid128, case):
         assert np.all(size <= abs(l) / grid.r_map[off_axis] + 1e-12)
         m = np.abs(xi)
         live = m > 1e-2 * m.max()
-        spectral = _phase_current(xi, grid)[:, live] / m[live] ** 2
+        spectral = spectral_phase_current(xi, grid)[:, live] / m[live] ** 2
         assert vec_mag(aq[:, live] - spectral).max() < 1e-3
 
 
 def test_gauge_flux_quantized(weak_beams64, grid64):
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
+    # the mask leaves the loop's cells alone: no NaN to fill
+    g = gauge_potentials(weak_beams64)
     loop = LoopSpec(center=(0.0, 0.0), radius=3.0)
-    flux = loop_integral(fill_masked(g.a2), grid64, loop)
+    flux = loop_integral(g.a2, grid64, loop)
     assert flux == pytest.approx(2.0 * np.pi, rel=1e-3)
 
 
-def test_mask_geometry_and_xi_floor(grid128, synthetic_ring_ratios):
-    _, _, xi1, xi2 = synthetic_ring_ratios
-    g = gauge_potentials(xi1, xi2, grid128)
+def test_mask_geometry_and_xi_floor(synthetic_ring_beams):
+    g = gauge_potentials(synthetic_ring_beams)
+    m1 = synthetic_ring_beams.p1
     assert not any(np.iscomplexobj(a) for a in g)
-    assert not g.mask[grid128.r_map <= 2.0 * grid128.dx].any()
     assert np.isnan(g.a2[:, ~g.mask]).all()
     assert np.isfinite(g.a2[:, g.mask]).all()
-    floor = 1e-6 * np.abs(xi1).max()
-    assert np.abs(xi1[g.mask]).min() > floor
-    assert np.array_equal(g.s1, np.abs(xi1) ** 2)
+    assert m1[g.mask].min() > 1e-6 * m1.max()
+    assert np.array_equal(g.s1, m1**2)
 
 
-def test_mask_error_when_nothing_survives(grid128, synthetic_ring_ratios):
-    _, _, xi1, xi2 = synthetic_ring_ratios
+@pytest.mark.parametrize("l", [1, 2])
+def test_degenerate_potentials_hold_on_the_whole_mask(grid128, l):
+    """At the degenerate pair every point above the ratio floor is
+    evaluated, the core disc r <= 2 max(dx, dy) and the box edge included,
+    and there |A2| r = |l|, A1 = 0 and A2 + A3 = 0; the axis point, where
+    the ratios vanish, is masked.  From spectral phase currents, |A2| r/|l|
+    strayed from 1 by up to 37.7 (l = 1) and 31.4 (l = 2) on their own
+    mask, near the box edge."""
+    beams = lg_beams(grid128, l, -l, 0.8, 2.0, 12.0, 6.0)
+    g = gauge_potentials(beams)
+    m = beams.p1 / beams.c1
+    r = grid128.r_map
+    assert np.array_equal(g.mask, m > 1e-6 * m.max())
+    assert not g.mask[r == 0.0].any() and (r == 0.0).sum() == 1
+    core = (r > 0.0) & (r <= 2.0 * max(grid128.dx, grid128.dy))
+    assert core.any() and g.mask[core].all()
+    for a in g:
+        assert np.isfinite(a[:, g.mask]).all()
+    dev = np.abs(vec_mag(g.a2)[g.mask] * r[g.mask] - abs(l))
+    assert dev.max() <= 1e-12
+    assert not g.a1[:, g.mask].any()
+    assert not (g.a2 + g.a3)[:, g.mask].any()
+
+
+def test_mask_error_when_nothing_survives(synthetic_ring_beams):
+    with pytest.warns(WeakProbeWarning):
+        dark = replace(synthetic_ring_beams, p1=np.zeros(synthetic_ring_beams.grid.shape))
     with pytest.raises(MaskError, match="no evaluable points"):
-        gauge_potentials(np.zeros_like(xi1), xi2, grid128)
+        gauge_potentials(dark)
 
 
 def test_shape_validation(grid128):
-    bad = np.ones((4, 4), dtype=complex)
-    with pytest.raises(ValueError, match="grid shape"):
-        gauge_potentials(bad, bad, grid128)
+    # gauge_potentials reads its ratios from a BeamSet, which rejects
+    # amplitudes of another shape than its grid's
+    bad = np.ones((4, 4))
+    with pytest.raises(ValueError, match="does not match grid"):
+        gauge_potentials(unit_control_beams(grid128, bad, bad))
 
 
-def test_gauge_iteration(grid128, synthetic_ring_ratios):
-    _, _, xi1, xi2 = synthetic_ring_ratios
-    g = gauge_potentials(xi1, xi2, grid128)
+def test_gauge_iteration(synthetic_ring_beams):
+    g = gauge_potentials(synthetic_ring_beams)
     a1, a2, a3 = g
     assert a1 is g.a1 and a2 is g.a2 and a3 is g.a3
-
-
-def test_fill_masked():
-    field = np.array([[1.0, np.nan], [np.inf, -2.0]])
-    out = fill_masked(field)
-    np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, -2.0]])
-    assert np.isnan(field[0, 1])  # input untouched
 
 
 def test_vortex_gauge_field_values_and_flux(grid64):
@@ -293,7 +318,9 @@ def consistent_gauge(grid128):
     r = grid128.r_map
     env1 = 0.05 * np.exp(-(r**2) / (2.0 * 2.0**2))
     env2 = 0.20 * np.exp(-(r**2) / (2.0 * 3.0**2))
-    return env1, env2, gauge_potentials(env1 + 0j, env2 + 0j, grid128)
+    with pytest.warns(WeakProbeWarning):
+        beams = unit_control_beams(grid128, env1, env2)
+    return env1, env2, gauge_potentials(beams)
 
 
 def test_solve_traps_consistent_case(grid128, consistent_gauge):
@@ -329,7 +356,8 @@ def test_solve_traps_decoupled_limit(grid128):
     r = grid128.r_map
     env1 = 0.01 * np.exp(-(r**2) / (2.0 * 2.0**2))
     env2 = 0.30 * np.exp(-(r**2) / (2.0 * 2.0**2))
-    g = gauge_potentials(env1 + 0j, env2 + 0j, grid128)
+    with pytest.warns(WeakProbeWarning):
+        g = gauge_potentials(unit_control_beams(grid128, env1, env2))
     sol = solve_traps(np.zeros(grid128.shape), g, eps21=0.4, eps31=-0.4)
     m = g.mask
     s2 = env2[m] ** 2
@@ -340,8 +368,7 @@ def test_solve_traps_decoupled_limit(grid128):
 def test_solve_traps_inconsistent_vortex_pair(weak_beams64, grid64):
     # equal moduli with opposite windings make c = 1 and b2 = b3 > 0, so
     # b2 + c b3 > 0: the two zero conditions cannot hold at once
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
+    g = gauge_potentials(weak_beams64)
     v1 = np.zeros(grid64.shape)
     with pytest.raises(TrapSolveError, match="inconsistent") as info:
         solve_traps(v1, g)
@@ -362,17 +389,16 @@ def test_solve_traps_shape_validation(grid128, consistent_gauge):
 def test_constant_potential_identity(weak_beams64, grid64):
     """Equal constant traps V0 on all three levels give Veff1 = V0 up to
     the |A1|^2 term, which vanishes for degenerate ratios."""
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
+    g = gauge_potentials(weak_beams64)
     v0 = 0.7 * np.ones(grid64.shape)
     veff1, _, _ = effective_potentials(v0, v0, v0, g)
     assert np.nanmax(np.abs(veff1[g.mask] - 0.7)) < 1e-14
 
 
 def test_constant_potential_identity_uniform_ratios(grid64):
-    xu1 = 0.2 * np.ones(grid64.shape, dtype=complex)
-    xu2 = 0.25 * np.ones(grid64.shape, dtype=complex)
-    g = gauge_potentials(xu1, xu2, grid64)
+    ones = np.ones(grid64.shape)
+    with pytest.warns(WeakProbeWarning):
+        g = gauge_potentials(unit_control_beams(grid64, 0.2 * ones, 0.25 * ones))
     v0 = -1.3 * np.ones(grid64.shape)
     veff1, veff2, veff3 = effective_potentials(v0, v0, v0, g)
     assert np.nanmax(np.abs(veff1[g.mask] + 1.3)) == 0.0
@@ -380,8 +406,7 @@ def test_constant_potential_identity_uniform_ratios(grid64):
 
 
 def test_effective_potentials_nan_off_mask(weak_beams64, grid64):
-    xi1, xi2 = xi_ratios(weak_beams64)
-    g = gauge_potentials(xi1, xi2, grid64)
+    g = gauge_potentials(weak_beams64)
     z = np.zeros(grid64.shape)
     veff1, veff2, veff3 = effective_potentials(z, z, z, g)
     for v in (veff1, veff2, veff3):

@@ -230,7 +230,7 @@ def test_non_degenerate_full_runs_load(tmp_path, monkeypatch, probes, l, stubbed
     if stubbed:
         # the reduced branch takes each ratio's phase gradient in closed form
         for module, name in ((runner, "gauge_potentials"), (gauge, "gauge_potentials"),
-                             (gauge, "_phase_current"), (runner, "solve_traps")):
+                             (runner, "solve_traps")):
             monkeypatch.setattr(module, name, _raise_if_called)
         held = run(parse_config(text.replace("run.mode = full", "run.mode = effective")),
                    out_dir=tmp_path / "held")

@@ -201,7 +201,7 @@ def test_nan_inputs_rejected(grid32):
     psi = np.ones(grid32.shape, dtype=complex)
     vbad = z.copy()
     vbad[3, 3] = np.nan
-    with pytest.raises(ValueError, match="fill_masked"):
+    with pytest.raises(ValueError, match=r"non-finite values; .*numpy\.nan_to_num"):
         evolve_two_flavor(pair(psi), zeros2(grid32), np.stack([vbad, z]), z, 0.01, 1, grid32)
 
 
