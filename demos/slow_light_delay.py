@@ -35,10 +35,7 @@ grid = make_grid(64, 64, 16.0, 16.0)
 times = np.linspace(0.0, 8.0, 81)
 ring = (grid.r_map / 2.0) * np.exp(-((grid.r_map / 2.0) ** 2))
 pulse = np.exp(-(((times - 4.0) / 1.0) ** 2))
-history = EnvelopeHistory(
-    grid=grid, times=times,
-    values=(pulse[:, None, None] * ring[None]).astype(complex),
-)
+history = EnvelopeHistory(grid=grid, times=times, pulse=pulse, transverse=ring)
 
 mapped = output_map(history, params, 2, phase_j=grid.phi_map)
 flux_in = time_flux(history, params.c)
@@ -47,6 +44,6 @@ print(f"photon flux in  {flux_in:.6f}")
 print(f"atom flux out   {flux_out:.6f}   (relative error "
       f"{abs(flux_out - flux_in) / flux_in:.1e})")
 
-peak = int(np.argmax([np.max(np.abs(v)) for v in mapped.values]))
+peak = int(np.argmax(np.abs(mapped.pulse)))
 w = winding(output_field(mapped, peak), LoopSpec(center=(0.0, 0.0), radius=2.0))
 print(f"output vortex charge {int(w)} at t = {mapped.times[peak]:.2f}")

@@ -211,7 +211,8 @@ class SplitStepper:
         self._controls = (beams.omega_c1(), beams.omega_c2())
         for field in self._probes + self._controls:
             field *= -1j * dt
-        self._eps = (beams.eps12, beams.eps13)
+        # the detunings of levels 2..5; a block adds the first two to its mean field
+        self._eps = (beams.eps12, beams.eps13, beams.eps14, beams.eps15)
         # the excited levels' diagonal is eps14/eps15 alone; where both are
         # zero, their first coupling product opens the term and the diagonal
         # product stops at row 2
@@ -374,8 +375,8 @@ class SplitStepper:
 
     def _unconverged(self, state, block, diag, couplings) -> str:
         """Why a block's series did not converge: the largest entry of
-        ``dt*M`` there, a diagonal (its trap, and on levels 1..3 its mean
-        field) or a beam coupling, with its levels and grid point."""
+        ``dt*M`` there, a diagonal (its trap, detuning and, on levels 1..3,
+        mean field) or a beam coupling, with its levels and grid point."""
         names = ("probe 1", "probe 2", "control 1", "control 2")
         # the first four couplings are the conjugates of the last four
         entries = [np.abs(d) for d in diag] + [np.abs(c) for _, c, _ in couplings[:4]]
@@ -386,7 +387,8 @@ class SplitStepper:
             # building diag left u*rho, the mean field of levels 1..3, in _rho_low
             mean = f", mean field u*rho = {self._rho_low[i, j]:.3e}" if which < 3 else ""
             trap = state.traps[block][i, j] if which == 0 else 0.0
-            cause = f"the level-{which + 1} diagonal (trap V{which + 1} = {trap:.3e}{mean})"
+            eps = f", detuning eps1{which + 1} = {self._eps[which - 1]:.3e}" if which else ""
+            cause = f"the level-{which + 1} diagonal (trap V{which + 1} = {trap:.3e}{eps}{mean})"
         else:
             row, _, col = couplings[which - 5]
             cause = f"the {names[which - 5]} coupling of levels {row + 1} and {col + 1}"

@@ -150,23 +150,27 @@ def delay_table(params: OutcouplingParams, j: int, n_rows: int = 101):
 
 @dataclass(frozen=True)
 class EnvelopeHistory:
-    """A complex transverse envelope recorded on a strictly increasing time grid."""
+    """Separable envelope ``pulse(t) * transverse(x, y)``: real pulse, one complex plane."""
 
     grid: SpectralGrid
     times: np.ndarray
-    values: np.ndarray
+    pulse: np.ndarray
+    transverse: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=np.complex128)
+        transverse = np.asarray(self.transverse, dtype=np.complex128)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time samples")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if values.shape != (len(times),) + self.grid.shape:
-            raise ValueError("values must have shape (n_t, nx, ny)")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        if np.iscomplexobj(self.pulse) or np.shape(self.pulse) != times.shape:
+            raise ValueError("pulse must be one real sample per time")
+        if transverse.shape != self.grid.shape:
+            raise ValueError("transverse must have shape (nx, ny)")
+        pulse = np.asarray(self.pulse, dtype=float)
+        for name, value in (("times", times), ("pulse", pulse), ("transverse", transverse)):
+            object.__setattr__(self, name, value)
 
 
 def output_map(
@@ -179,25 +183,24 @@ def output_map(
 
     Flavor 2 rides probe/control pair 1, flavor 3 pair 2.  The output is
     tabulated on the input time grid shifted by the delay, which covers the
-    whole pulse.
+    whole pulse; the pulse is unchanged and the map acts on the plane.
     """
     if j not in (2, 3):
         raise ValueError("flavor j must be 2 or 3")
     pair = 1 if j == 2 else 2
     tau = delay(params, pair)
     factor = -math.sqrt(params.c / params.v0) * np.exp(1j * np.asarray(phase_j))
-    # the output at t + tau is the recorded frame at t
-    frames = factor * history.values
-    return EnvelopeHistory(grid=history.grid, times=history.times + tau, values=frames)
+    # the output at t + tau is the recorded envelope at t
+    return EnvelopeHistory(grid=history.grid, times=history.times + tau,
+                           pulse=history.pulse, transverse=factor * history.transverse)
 
 
 def time_flux(history: EnvelopeHistory, speed: float) -> float:
     """speed * integral dt integral dx dy |f|^2 over the recorded window."""
-    grid = history.grid
-    per_slice = np.array([grid.integrate(np.abs(v) ** 2) for v in history.values])
-    return float(speed * np.trapezoid(per_slice, history.times))
+    in_time = np.trapezoid(history.pulse**2, history.times)
+    return float(speed * in_time * history.grid.integrate(np.abs(history.transverse) ** 2))
 
 
 def output_field(history: EnvelopeHistory, index: int) -> Field:
-    """One time slice as a Field (for winding diagnostics)."""
-    return Field(grid=history.grid, values=history.values[index])
+    """One time slice, ``pulse[index] * transverse``, as a Field (for winding diagnostics)."""
+    return Field(grid=history.grid, values=history.pulse[index] * history.transverse)

@@ -410,24 +410,19 @@ def _run_outcouple(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
     loop = _default_loop(cfg)
     for flavor, beam in ((2, cfg.p1), (3, cfg.p2)):
         transverse = lg_amplitude(grid.r_map, beam.l, beam.waist, beam.peak)
-        frames = pulse[:, None, None] * transverse[None, :, :]
-        history = EnvelopeHistory(grid=grid, times=times, values=frames.astype(np.complex128))
-        phase_j = beam.l * grid.phi_map
-        mapped = output_map(history, params, flavor, phase_j)
+        history = EnvelopeHistory(grid=grid, times=times, pulse=pulse, transverse=transverse)
+        mapped = output_map(history, params, flavor, beam.l * grid.phi_map)
         flux_in = time_flux(history, params.c)
         flux_out = time_flux(mapped, params.v0)
         values[f"flux_in_{flavor}"] = flux_in
         values[f"flux_out_{flavor}"] = flux_out
         values[f"flux_rel_err_{flavor}"] = abs(flux_out - flux_in) / flux_in
-        peak_idx = int(np.argmax([np.max(np.abs(v)) for v in mapped.values]))
-        w = winding(output_field(mapped, peak_idx), loop)
+        peak = output_field(mapped, int(np.argmax(np.abs(pulse))))
+        w = winding(peak, loop)
         values[f"output_winding{flavor}"] = w.value
         values[f"output_winding{flavor}_residual"] = w.residual
         values[f"expected_output_winding{flavor}"] = beam.l
-        out.field(
-            f"output_phi{flavor}_peak.vxf",
-            Field(grid=grid, values=mapped.values[peak_idx]),
-        )
+        out.field(f"output_phi{flavor}_peak.vxf", peak)
     return RunReport(exit_code=0, values=values)
 
 

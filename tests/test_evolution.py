@@ -200,6 +200,17 @@ def test_series_divergence_reported(uniform_beams, grid16):
         SplitStepper(beams, 100.0).local(state)
 
 
+def test_series_divergence_names_the_detuning(uniform_beams, grid16):
+    # no trap anywhere: dt*max|M| = 500 is eps14 on the level-4 diagonal
+    beams = uniform_beams(grid16, eps14=500.0)
+    state = _blank_state(grid16)
+    state.phi[3] = 1.0
+    with pytest.raises(DivergenceError) as exc:
+        SplitStepper(beams, 1.0).local(state)
+    assert ("dt*max|M| = 5.000e+02, set by the level-4 diagonal "
+            "(trap V4 = 0.000e+00, detuning eps14 = 5.000e+02)") in str(exc.value)
+
+
 def test_step_flags_nonfinite(uniform_beams, grid16):
     beams = uniform_beams(grid16)
     state = _blank_state(grid16)

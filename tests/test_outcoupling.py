@@ -117,6 +117,30 @@ def test_import_loads_no_integrate_or_linalg():
     assert float(out[1]) == pytest.approx(13.111343968404773, rel=1e-13)
 
 
+OUTCOUPLE_PEAK_PROBE = """
+import sys
+import tracemalloc
+import scipy.integrate
+from vxsim.config import parse_config
+from vxsim.runner import run
+cfg = parse_config("run.mode = outcouple")
+tracemalloc.start()
+code = run(cfg, out_dir=sys.argv[1]).exit_code
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_outcouple_run_holds_one_plane_per_history(tmp_path):
+    # the default 128^2 run holds one transverse plane per history: a stack
+    # of its 81 time samples per flavor, input and mapped, would trace about
+    # 71 MiB; scipy.integrate is imported before tracing starts
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", OUTCOUPLE_PEAK_PROBE, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "0"
+    assert int(out[1]) < 8 * 2**20
+
+
 def test_delay_table_consistency():
     p = make_params(g1=12.0, v0=0.05, length=2.0)
     rows = delay_table(p, 1, n_rows=41)
@@ -152,18 +176,23 @@ def pulse_history():
     times = np.linspace(0.0, 6.0, 41)
     ring = (g.r_map / 1.5) * np.exp(-((g.r_map / 1.5) ** 2))
     env = np.exp(-(((times - 3.0) / 1.0) ** 2))
-    vals = (env[:, None, None] * ring[None]).astype(complex)
-    return EnvelopeHistory(grid=g, times=times, values=vals)
+    return EnvelopeHistory(grid=g, times=times, pulse=env, transverse=ring)
 
 
 def test_history_validation(pulse_history):
     g = pulse_history.grid
+    plane = np.zeros(g.shape)
     with pytest.raises(ValueError, match="two time samples"):
-        EnvelopeHistory(grid=g, times=[0.0], values=np.zeros((1,) + g.shape))
+        EnvelopeHistory(grid=g, times=[0.0], pulse=[1.0], transverse=plane)
     with pytest.raises(ValueError, match="strictly increasing"):
-        EnvelopeHistory(grid=g, times=[0.0, 0.0], values=np.zeros((2,) + g.shape))
+        EnvelopeHistory(grid=g, times=[0.0, 0.0], pulse=[1.0, 1.0], transverse=plane)
+    with pytest.raises(ValueError, match="one real sample per time"):
+        EnvelopeHistory(grid=g, times=[0.0, 1.0], pulse=[1.0, 1.0, 1.0], transverse=plane)
+    with pytest.raises(ValueError, match="one real sample per time"):
+        EnvelopeHistory(grid=g, times=[0.0, 1.0], pulse=[1.0, 1.0j], transverse=plane)
     with pytest.raises(ValueError, match="shape"):
-        EnvelopeHistory(grid=g, times=[0.0, 1.0], values=np.zeros((3,) + g.shape))
+        EnvelopeHistory(grid=g, times=[0.0, 1.0], pulse=[1.0, 1.0],
+                        transverse=np.zeros((2,) + g.shape))
 
 
 def test_output_map_shift_factor_and_winding(pulse_history):
@@ -173,8 +202,9 @@ def test_output_map_shift_factor_and_winding(pulse_history):
     tau = delay(p, 1)
     np.testing.assert_allclose(out.times, pulse_history.times + tau, rtol=1e-14)
     k = 20
-    expected = -math.sqrt(p.c / p.v0) * np.exp(1j * g.phi_map) * pulse_history.values[k]
-    np.testing.assert_allclose(out.values[k], expected, atol=1e-13)
+    expected = (-math.sqrt(p.c / p.v0) * np.exp(1j * g.phi_map)
+                * pulse_history.pulse[k] * pulse_history.transverse)
+    np.testing.assert_allclose(output_field(out, k).values, expected, atol=1e-13)
     loop = LoopSpec(center=(0.0, 0.0), radius=2.0)
     assert winding(output_field(out, k), loop).value == 1
     out3 = output_map(pulse_history, p, 3, phase_j=-2.0 * g.phi_map)
@@ -206,7 +236,7 @@ def test_flux_conservation(pulse_history):
 def test_time_flux_constant_envelope():
     g = make_grid(16, 16, 4.0, 4.0)
     times = np.linspace(0.0, 2.0, 9)
-    vals = np.full((9,) + g.shape, 0.5 + 0.0j)
-    hist = EnvelopeHistory(grid=g, times=times, values=vals)
+    hist = EnvelopeHistory(grid=g, times=times, pulse=np.full(9, 0.5),
+                           transverse=np.ones(g.shape, dtype=complex))
     # speed * |f|^2 * area * duration = 3 * 0.25 * 16 * 2
     assert time_flux(hist, 3.0) == pytest.approx(24.0, rel=1e-13)
