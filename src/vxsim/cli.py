@@ -34,8 +34,8 @@ def main(argv=None) -> int:
 
     path = Path(args.config)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"sim: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -39,7 +39,7 @@ class SpectralGrid:
     nx, ny : int
         Points per axis.  Must be powers of two and at least 4.
     lx, ly : float
-        Box lengths.  Must be positive.
+        Box lengths.  Must be positive and finite.
 
     Attributes
     ----------
@@ -90,9 +90,9 @@ class SpectralGrid:
             raise GridSizeError(
                 f"grid size must be at least 4 per axis, got nx={self.nx}, ny={self.ny}"
             )
-        if not (self.lx > 0 and self.ly > 0):
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
             raise GridSizeError(
-                f"box lengths must be positive, got lx={self.lx}, ly={self.ly}"
+                f"box lengths must be positive and finite, got lx={self.lx}, ly={self.ly}"
             )
 
         dx = self.lx / self.nx
@@ -181,7 +181,7 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> SpectralGrid:
     ------
     GridSizeError
         If ``nx``/``ny`` are not powers of two >= 4 or box lengths are not
-        positive.
+        positive and finite.
     """
     return SpectralGrid(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly))
 

@@ -87,6 +87,13 @@ def test_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + "grid.nx = 32\n".encode("utf-16-le"))
+    assert main(["--config", str(path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_bad_key_reports_path_and_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "grid.nx = 32\ngrid.nz = 7\n")
     assert main(["--config", cfg]) == 2

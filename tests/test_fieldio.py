@@ -74,3 +74,8 @@ def test_header_grid_contract_enforced(tmp_path, sample_field):
 
     with pytest.raises(GridSizeError):
         read_field(path)
+    # an infinite box passes ``lx > 0`` but spans no finite grid
+    body = b"\x00" * (4 * 4 * 16)
+    path.write_bytes(struct.pack("<4sIIdd", MAGIC, 4, 4, float("inf"), 1.0) + body)
+    with pytest.raises(GridSizeError):
+        read_field(path)

@@ -101,6 +101,7 @@ def test_grid_equality_ignores_arrays():
     (2, 16, 1.0, 1.0),
     (16, 16, 0.0, 1.0),
     (16, 16, 1.0, -2.0),
+    (16, 16, float("inf"), 1.0),
 ])
 def test_sizing_contract(nx, ny, lx, ly):
     with pytest.raises(GridSizeError):

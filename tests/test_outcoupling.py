@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vxsim.config import default_config
 from vxsim.diagnostics import LoopSpec, winding
 from vxsim.errors import QuadratureError
 from vxsim.grid import make_grid
@@ -80,6 +81,26 @@ def test_delay_linear_ramp_against_dense_quadrature():
     assert delay(p, 1) == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("params", [default_config().outcouple, make_params()],
+                         ids=["config-defaults", "make_params"])
+def test_delay_against_30_digit_reference(params):
+    import mpmath
+
+    g, omega0 = mpmath.mpf(params.g1), mpmath.mpf(params.omega0_1)
+
+    def inverse_vg(z):
+        # the default cos^2 profile under the same 1e-6 floor the integrator applies
+        shape = max(mpmath.cos(mpmath.pi * z / (2 * params.length)) ** 2, mpmath.mpf(1e-6))
+        x = g * g * params.n / (omega0 * shape) ** 2
+        return (1 + x) / (params.c + x * params.v0)
+
+    with mpmath.workdps(30):
+        # split at the floor's kink, s* = 1 - (2/pi) asin(1e-3)
+        kink = params.length * (1 - 2 / mpmath.pi * mpmath.asin(mpmath.mpf(1e-3)))
+        ref = mpmath.quad(inverse_vg, [0, kink, params.length])
+    assert abs(delay(params, 1) - ref) <= 1e-14 * ref
+
+
 def test_delay_oscillatory_profile_raises():
     prof = lambda s: 0.5 + 0.5 * math.sin(2e4 / (s + 1e-4))
     p = make_params(profile=prof)
@@ -98,47 +119,54 @@ IMPORT_PROBE = """
 import sys
 import vxsim
 heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "scipy.integrate",
-         "scipy.optimize", "scipy.sparse", "numpy.f2py", "numpy.testing")
+         "scipy.optimize", "scipy.sparse", "numpy.f2py", "numpy.testing",
+         "numpy.polynomial")
 print(",".join(m for m in heavy if m in sys.modules))
 p = vxsim.outcoupling.OutcouplingParams(
     g1=8.0, g2=8.0, omega0_1=4.0, omega0_2=4.0, n=1.0, v0=0.04, c=1.0, length=1.0)
 print(repr(vxsim.outcoupling.delay(p, 1)))
+print(",".join(m for m in heavy if m.startswith("scipy.") and m in sys.modules))
 """
 
 
 def test_import_loads_no_integrate_or_linalg():
     # every run is a fresh process, so what ``import vxsim`` loads is paid by
-    # each run: numpy and a bare ``import scipy``, no scipy submodule;
-    # scipy.integrate is loaded only when a delay is integrated
+    # each run: numpy and a bare ``import scipy``, no scipy submodule and no
+    # numpy.polynomial; integrating a delay loads numpy.polynomial's
+    # Gauss-Legendre nodes and still no scipy submodule
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == ""
     assert float(out[1]) == pytest.approx(13.111343968404773, rel=1e-13)
+    assert out[2] == ""
 
 
 OUTCOUPLE_PEAK_PROBE = """
 import sys
 import tracemalloc
-import scipy.integrate
 from vxsim.config import parse_config
 from vxsim.runner import run
 cfg = parse_config("run.mode = outcouple")
 tracemalloc.start()
 code = run(cfg, out_dir=sys.argv[1]).exit_code
-print(code, tracemalloc.get_traced_memory()[1])
+heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "scipy.integrate",
+         "scipy.optimize", "scipy.sparse")
+print(code, tracemalloc.get_traced_memory()[1], sum(m in sys.modules for m in heavy))
 """
 
 
 def test_outcouple_run_holds_one_plane_per_history(tmp_path):
     # the default 128^2 run holds one transverse plane per history: a stack
     # of its 81 time samples per flavor, input and mapped, would trace about
-    # 71 MiB; scipy.integrate is imported before tracing starts
+    # 71 MiB; the trace covers the delay integrator's first use too, and
+    # the run loads no scipy submodule
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", OUTCOUPLE_PEAK_PROBE, str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True).stdout.split()
     assert out[0] == "0"
     assert int(out[1]) < 8 * 2**20
+    assert out[2] == "0"
 
 
 def test_delay_table_consistency():
