@@ -34,7 +34,7 @@ def main(argv=None) -> int:
 
     path = Path(args.config)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"sim: cannot read config: {exc}", file=sys.stderr)
         return 2

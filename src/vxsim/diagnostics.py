@@ -9,6 +9,7 @@ is a resolution diagnostic, not a quantization error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,15 +194,15 @@ def compare_states(a: Field, b: Field, loops: tuple[LoopSpec, ...] = ()) -> Comp
 
     overlap = complex(np.sum(np.conj(av) * bv))
     theta = float(np.angle(overlap)) if overlap != 0 else 0.0
-    bv_aligned = bv * np.exp(-1j * theta)
+    diff = av - bv * np.exp(-1j * theta)
 
-    na = float(np.sqrt(grid.integrate(np.abs(av) ** 2)))
-    nb = float(np.sqrt(grid.integrate(np.abs(bv) ** 2)))
+    na = math.sqrt(grid.inner(av, av))
+    nb = math.sqrt(grid.inner(bv, bv))
     denom = max(na, nb)
     if denom == 0.0:
         l2 = 0.0
     else:
-        l2 = float(np.sqrt(grid.integrate(np.abs(av - bv_aligned) ** 2))) / denom
+        l2 = math.sqrt(grid.inner(diff, diff)) / denom
 
     wa = tuple(winding(a, lp).value for lp in loops)
     wb = tuple(winding(b, lp).value for lp in loops)

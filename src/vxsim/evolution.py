@@ -61,7 +61,8 @@ class MatterState:
     in place and return it: each step overwrites the buffer of ``phi``, so
     callers and callbacks that keep a state or a component of it must copy
     it (states are cheap: ``state.copy()``).  ``norm`` and ``populations``
-    square one component at a time into one reused buffer.
+    are :meth:`~vxsim.grid.SpectralGrid.inner` products, with no plane-sized
+    temporary.
     """
 
     grid: SpectralGrid
@@ -83,21 +84,12 @@ class MatterState:
             grid=self.grid, phi=self.phi.copy(), traps=self.traps, u=self.u, t=self.t
         )
 
-    def _densities(self):
-        d = np.empty(self.grid.shape)
-        for p in self.phi:
-            np.abs(p, out=d)
-            yield np.multiply(d, d, out=d)
-
     def norm(self) -> float:
-        total = np.zeros(self.grid.shape)
-        for d in self._densities():
-            total += d
-        return float(np.sqrt(self.grid.integrate(total)))
+        return math.sqrt(self.grid.inner(self.phi, self.phi))
 
     def populations(self) -> np.ndarray:
         """Per-component integrated populations (length 5)."""
-        return np.array([self.grid.integrate(d) for d in self._densities()])
+        return np.array([self.grid.inner(p, p) for p in self.phi])
 
 
 def initial_state(grid: SpectralGrid, rho: np.ndarray, traps: np.ndarray, u: float) -> MatterState:
@@ -449,8 +441,8 @@ def dark_state_error(state: MatterState, beams: BeamSet, scale: float = 1.0) -> 
     xi1 = rabi_field(*ratio_factors(beams)[0], beams.grid)
     target = -scale * xi1 * state.phi[0]
     diff = state.phi[1] - target
-    num = state.grid.integrate(np.abs(diff) ** 2)
-    den = state.grid.integrate(np.abs(state.phi[1]) ** 2)
+    num = state.grid.inner(diff, diff)
+    den = state.grid.inner(state.phi[1], state.phi[1])
     if den == 0.0:
         return float("inf")
     return float(np.sqrt(num / den))

@@ -145,9 +145,16 @@ class SpectralGrid:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    def integrate(self, density: np.ndarray) -> float:
-        """Box integral of a real density, ``sum * dx * dy``."""
-        return float(np.sum(density) * self.cell_area)
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``cell_area * Re sum(conj(a) * b)`` over every plane; ``inner(f, f)``
+        is the box integral of ``|f|^2``.  One ``einsum`` over the float views
+        (complex128 as interleaved real and imaginary parts) makes no
+        plane-sized temporary and calls no BLAS, so no value depends on the
+        BLAS thread count."""
+        fa, fb = (np.asarray(x, np.complex128).reshape(-1).view(np.float64)
+                  if np.iscomplexobj(x) else np.asarray(x, np.float64).reshape(-1)
+                  for x in (a, b))
+        return float(np.einsum("i,i->", fa, fb) * self.cell_area)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +171,6 @@ class Field:
                 f"field shape {vals.shape} does not match grid {self.grid.shape}"
             )
         object.__setattr__(self, "values", vals)
-
-    def norm_sq(self) -> float:
-        """Integral of |f|^2 over the box, squared in one real plane."""
-        d = np.abs(self.values)
-        return self.grid.integrate(np.multiply(d, d, out=d))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
 
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> SpectralGrid:

@@ -203,7 +203,7 @@ def output_map(
 def time_flux(history: EnvelopeHistory, speed: float) -> float:
     """speed * integral dt integral dx dy |f|^2 over the recorded window."""
     in_time = np.trapezoid(history.pulse**2, history.times)
-    return float(speed * in_time * history.grid.integrate(np.abs(history.transverse) ** 2))
+    return float(speed * in_time * history.grid.inner(history.transverse, history.transverse))
 
 
 def output_field(history: EnvelopeHistory, index: int) -> Field:

@@ -20,6 +20,7 @@ file's digest and the digest of the canonical serialized parameters.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,12 +134,12 @@ def _build_scenario(cfg: SimConfig, grid: SpectralGrid) -> _Scenario:
     beams = _build_beams(cfg, grid)
     if not rho.any():
         raise ConfigError(f"physics.rho0 = {cfg.physics.rho0} leaves no atoms to evolve")
-    if cfg.run.mode != "full":
-        # the reduced branch builds its ratios and fields after the five-field
-        # branch; a ratio undefined (MaskError here) or zero stops the run first
-        for q, (modulus, _, _) in enumerate(ratio_factors(beams), 1):
-            if not modulus.any():
-                raise MaskError(f"no evaluable points: ratio xi{q} = p{q}/c{q} is zero")
+    # a ratio undefined (MaskError here) stops every run before it steps, as
+    # the full branch's dark-state error needs it; a zero ratio stops only the
+    # reduced branch, which builds its ratios and fields after the five-field one
+    for q, (modulus, _, _) in enumerate(ratio_factors(beams), 1):
+        if cfg.run.mode != "full" and not modulus.any():
+            raise MaskError(f"no evaluable points: ratio xi{q} = p{q}/c{q} is zero")
     return _Scenario(grid=grid, beams=beams, rho=rho)
 
 
@@ -279,7 +280,7 @@ def _run_effective_branch(cfg: SimConfig, scenario: _Scenario, out: _Out, rows: 
     def snapshot(i, phi):
         # runs on the snapshot steps and the last step
         rows.append(("effective", i + 1, t0 + (i + 1) * cfg.run.dt, float("nan"),
-                     *([float("nan")] * 5), *(Field(grid, p).norm() for p in phi)))
+                     *([float("nan")] * 5), *(math.sqrt(grid.inner(p, p)) for p in phi)))
         if i + 1 in snaps:
             for alpha, p in zip((2, 3), phi):
                 out.field(f"eff_phi{alpha}_{i + 1:05d}.vxf", Field(grid=grid, values=p))
@@ -349,13 +350,13 @@ def _run_dynamics(cfg: SimConfig, out: _Out, grid: SpectralGrid) -> RunReport:
         phi *= background
         del background
         # the drift gate keeps only the seed's norms
-        norms_0 = [Field(grid, p).norm() for p in phi]
+        norms_0 = [math.sqrt(grid.inner(p, p)) for p in phi]
         work = KrylovWork()
         if hold_steps > 0:
             phi, work = _run_effective_branch(cfg, scenario, out, rows, phi, a, w, hold_steps,
                                               t0)
         for alpha, p, n_0 in zip((2, 3), phi, norms_0):
-            drift = abs(Field(grid, p).norm() - n_0) / n_0
+            drift = abs(math.sqrt(grid.inner(p, p)) - n_0) / n_0
             values[f"effective.norm_drift{alpha}"] = drift
             gates.append((drift, hold_steps))
         values["effective.krylov_steps"] = work.krylov_steps
@@ -451,7 +452,8 @@ def run(cfg: SimConfig, out_dir: str | Path | None = None, override_dt: bool = F
         parse_config(params)
         grid = make_grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
         advisory = advisory_dt(grid)
-        if cfg.run.dt > advisory and not override_dt:
+        # out-coupling takes no time step, so only the dynamics modes are held to it
+        if cfg.run.mode != "outcouple" and cfg.run.dt > advisory and not override_dt:
             raise ConfigError(
                 f"run.dt = {cfg.run.dt} exceeds the advisory bound {advisory:.6g} "
                 "= min(dx, dy)^2 / pi for this grid; shrink dt or pass --override-dt"

@@ -50,6 +50,7 @@ norms are conserved to machine precision; a norm that moves by more than
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -232,7 +233,7 @@ def eigh_tridiagonal(d, e):
     return np.linalg.eigh(t)
 
 
-def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
+def _spectral_bounds(op: _FlavorOperator, work: KrylovWork, grid: SpectralGrid):
     """``(lo, hi)`` enclosing the spectrum of ``op``.
 
     ``lo = op.lo`` is exact: the kinetic and gauge part is
@@ -243,7 +244,9 @@ def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
     in [-1/2, 1/2), drawn from the stdlib ``random.Random(0)``, which numpy
     imports anyway, so a run loads no ``numpy.random``.  The Ritz pair comes
     from a dense numpy ``eigh`` of the ``_BOUND_STEPS`` x ``_BOUND_STEPS``
-    tridiagonal Lanczos matrix.
+    tridiagonal Lanczos matrix.  The normalisation and the Lanczos
+    coefficients are ``grid.inner`` products; their constant ``cell_area``
+    scale leaves the Ritz values unchanged.
     """
     v = np.empty(op.local.shape, dtype=np.complex128)
     rng = random.Random(0)
@@ -253,7 +256,7 @@ def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
         bits = np.frombuffer(rng.randbytes(8 * row.size), dtype="<u8") >> 11
         np.multiply(bits, 2.0**-53, out=row)
         row -= 0.5
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(grid.inner(v, v))
     v_prev = np.zeros_like(v)
     prod = op.product
     alphas, betas = [], []
@@ -262,23 +265,17 @@ def _spectral_bounds(op: _FlavorOperator, work: KrylovWork):
         # v_prev <- H v - beta v_prev - alpha v, the next Lanczos vector
         v_prev *= beta
         op(v, out=v_prev)
-        alpha = float(np.vdot(v, v_prev).real)
+        alpha = grid.inner(v, v_prev)
         np.multiply(alpha, v, out=prod)
         v_prev -= prod
         alphas.append(alpha)
-        beta = float(np.linalg.norm(v_prev))
+        beta = math.sqrt(grid.inner(v_prev, v_prev))
         betas.append(beta)
         v_prev /= beta
         v_prev, v = v, v_prev
     work.matvecs += _BOUND_STEPS
     theta, s = eigh_tridiagonal(alphas, betas[:-1])
     return op.lo, float(theta[-1] + abs(betas[-1] * s[-1, -1]))
-
-
-def _flavor_norms(phi: np.ndarray) -> np.ndarray:
-    """L2 norm of each flavor; unlike ``norm(phi, axis=(1, 2))`` it makes no
-    whole-field temporaries."""
-    return np.array([np.linalg.norm(p) for p in phi])
 
 
 def _bessel_j(n: int, z: float) -> np.ndarray:
@@ -429,12 +426,11 @@ def evolve_two_flavor(
     op = _FlavorOperator(grid, a, veff)
     if work is None:
         work = KrylovWork()
-    lo, hi = _spectral_bounds(op, work)
+    lo, hi = _spectral_bounds(op, work, grid)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     op.rescale(mid, half)
 
-    norms = _flavor_norms(phi)
-    scale = np.where(norms > 0.0, norms, 1.0)
+    norms = [math.sqrt(grid.inner(p, p)) for p in phi]
     done = 0
     for first in range(0, len(ends), _GROUP):
         group = ends[first:first + _GROUP]
@@ -442,7 +438,8 @@ def evolve_two_flavor(
         for end, phi in zip(group, _chebyshev_advance(op, phi, times, mid, half, work)):
             if not np.all(np.isfinite(phi)):
                 raise DivergenceError("non-finite flavor fields", step=end - 1)
-            drift = float(np.max(np.abs(_flavor_norms(phi) - norms) / scale))
+            drift = max(abs(math.sqrt(grid.inner(p, p)) - n) / (n or 1.0)
+                        for p, n in zip(phi, norms))
             if drift > _NORM_TOL:
                 raise DivergenceError(
                     f"flavor norm moved by {drift:.3e}; the "

@@ -104,13 +104,32 @@ def test_bad_key_reports_path_and_line(tmp_path, capsys):
 
 
 def test_dt_advisory_refusal_and_override(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, OUTCOUPLE_CFG + "run.dt = 0.5\n")
+    # dt = 0.1 is above the 32^2 bound 0.0796, but two steps of it still
+    # hold the norm, so the overridden run ends cleanly (two steps cover
+    # little of the ramp, so its fidelity check warns)
+    cfg = write_cfg(tmp_path, "grid.nx = 32\ngrid.ny = 32\nphysics.tf_radius = 5.0\n"
+                    "run.mode = full\nrun.dt = 0.1\nrun.n_steps = 2\n")
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "override-dt" in captured.out + captured.err
-    # out-coupling never integrates in time, so overriding is harmless here
-    assert main(["--config", cfg, "--out", str(out), "--override-dt"]) == 0
+    with pytest.warns(AdiabaticityWarning):
+        assert main(["--config", cfg, "--out", str(out), "--override-dt"]) == 0
+
+
+def test_outcouple_takes_no_dt_advisory(tmp_path, capsys):
+    # out-coupling never integrates in time, so no dt refuses it
+    cfg = write_cfg(tmp_path, OUTCOUPLE_CFG + "run.dt = 0.5\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    # an editor that saves UTF-8 with a byte-order mark must not turn the
+    # first key into an unknown one
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + OUTCOUPLE_CFG.lstrip().encode())
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "output_winding2 = 1" in capsys.readouterr().out.splitlines()
 
 
 def test_outcouple_determinism(tmp_path, capsys):

@@ -85,9 +85,21 @@ def test_nyquist_mode_has_zero_gradient(grid16):
     assert np.allclose(laplacian(f, grid16).real, -(knyq**2) * f, atol=1e-9)
 
 
-def test_integrate_and_cell_area(grid64):
+def test_inner_and_cell_area(grid64):
     assert grid64.cell_area == pytest.approx(0.0625)
-    assert grid64.integrate(np.ones(grid64.shape)) == pytest.approx(256.0)
+    ones = np.ones(grid64.shape)
+    assert grid64.inner(ones, ones) == pytest.approx(256.0)
+    # cell_area * Re sum(conj(a) b) over every plane, real or complex, as a
+    # Python float; a cross term may cancel, so its bound scales with the norms
+    rng = np.random.default_rng(9)
+    a, b = (rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+            for _ in range(2))
+    for x, y in ((a, b), (a[1], b[1]), (a.real, b.real), (a, a)):
+        got = grid64.inner(x, y)
+        oracle = grid64.cell_area * np.sum(np.conj(x) * y).real
+        scale = grid64.cell_area * np.sqrt(np.sum(np.abs(x) ** 2) * np.sum(np.abs(y) ** 2))
+        assert type(got) is float
+        assert abs(got - oracle) <= 1e-14 * scale
 
 
 def test_grid_equality_ignores_arrays():
@@ -112,18 +124,23 @@ def test_field_binds_shape(grid16):
     with pytest.raises(ValueError):
         Field(grid=grid16, values=np.zeros((8, 8)))
     f = Field(grid=grid16, values=np.ones(grid16.shape))
-    assert f.norm_sq() == pytest.approx((2.0 * np.pi) ** 2)
-    assert f.norm() == pytest.approx(2.0 * np.pi)
+    assert f.values.dtype == np.complex128
+    norm_sq = grid16.inner(f.values, f.values)
+    assert norm_sq == pytest.approx((2.0 * np.pi) ** 2, rel=1e-14)
+    oracle = grid16.cell_area * np.sum(np.abs(f.values) ** 2)
+    assert abs(norm_sq - oracle) <= 1e-14 * oracle
 
 
-def test_norm_sq_squares_in_one_real_plane(grid128):
+def test_inner_makes_no_plane_temporary(grid128):
     rng = np.random.default_rng(4)
     values = rng.standard_normal(grid128.shape) + 1j * rng.standard_normal(grid128.shape)
-    f = Field(grid=grid128, values=values)
-    norm_sq, _, peak = _traced(f.norm_sq)
-    # abs and its square as two temporaries made a whole complex plane
-    assert peak / (128 * 128 * 16) < 0.55
-    assert norm_sq == grid128.integrate(np.abs(values) ** 2)
+    norm_sq, _, peak = _traced(lambda: grid128.inner(values, values))
+    # abs and its square as two temporaries made a whole complex plane, and
+    # squared in place half of one; one einsum over the float view makes
+    # none (0.006)
+    assert peak / (128 * 128 * 16) < 0.01
+    oracle = grid128.cell_area * np.sum(np.abs(values) ** 2)
+    assert abs(norm_sq - oracle) <= 1e-14 * oracle
 
 
 @pytest.mark.parametrize("shape, axes", [((5, 128, 128), (-2, -1)),

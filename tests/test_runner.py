@@ -184,6 +184,38 @@ def test_reduced_run_loads_no_numpy_random(tmp_path):
     assert out == ["0", ""]
 
 
+BLAS_THREADS_CFG = """
+grid.nx = 256
+grid.ny = 256
+beam.p1.peak = 0.8
+beam.p2.peak = 0.8
+beam.c1.peak = 12.0
+beam.c2.peak = 12.0
+physics.u = 0.02
+run.mode = effective
+run.dt = 0.001
+run.n_steps = 10
+run.snapshot_every = 0
+"""
+
+
+def test_reduced_run_does_not_depend_on_blas_threads(tmp_path):
+    # the thread count is read when numpy loads, so each run is a fresh
+    # process; BLAS norms once summed in an order set by the thread count,
+    # which moved the final fields and the report's drifts and windings
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", REDUCED_RUN_PROBE, BLAS_THREADS_CFG, str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        report = (out / "report.txt").read_text().splitlines()
+        runs.append(([ln for ln in manifest if not ln.startswith("report.txt ")],
+                     [ln for ln in report if not ln.startswith("runtime_s = ")]))
+    assert runs[0] == runs[1]
+
+
 def test_series_divergence_names_its_entry_not_dt(tmp_path):
     # a strong interaction puts dt*u*rho = 20 on the lower diagonals, while
     # dt = 0.004 is far below the advisory bound
@@ -352,6 +384,20 @@ def test_setup_failures_are_exit_2(tmp_path, text, cause):
     assert cause in rep.values["error"]
     # no run gets as far as the end of either branch
     assert not list((tmp_path / "out").glob("*phi*_final.vxf"))
+
+
+def test_full_run_with_an_undefined_ratio_stops_before_stepping(tmp_path, monkeypatch):
+    # controls narrower than the box underflow the division guard at its
+    # edge; the full branch's dark-state error needs the ratio there, so the
+    # run stops at set-up instead of after all of its steps
+    monkeypatch.setattr(runner, "run_adiabatic_loading", _raise_if_called)
+    text = SHORT.replace("run.n_steps = 4", "run.n_steps = 200") + "run.mode = full\n" + "".join(
+        f"beam.{name}.waist = {waist}\n"
+        for name, waist in (("p1", 0.5), ("p2", 0.5), ("c1", 1.0), ("c2", 1.0))
+    ) + "beam.p1.peak = 0.1\nbeam.p2.peak = 0.1\n"
+    rep = run(parse_config(text), out_dir=tmp_path / "out")
+    assert rep.exit_code == 2
+    assert rep.values["error"].startswith("MaskError: control c1 amplitude below 1e-30")
 
 
 @pytest.mark.parametrize("blocked", [None, "phi1_final.vxf", "summary.csv", "report.txt",

@@ -343,7 +343,7 @@ def test_one_recurrence_serves_a_group_of_observed_steps(grid64, vortex_backgrou
     # two groups of four observed steps, 20 steps each; a group's one
     # recurrence is as long as its last time needs
     op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
-    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork(), grid64)
     group_terms = _terms(0.5 * (hi - lo) * 20 * dt)
     assert work.matvecs == two_flavor._BOUND_STEPS + 2 * (group_terms - 1)
     assert work.krylov_steps == 2
@@ -399,8 +399,8 @@ def test_low_spectral_bound_raises(grid64, vortex_background, monkeypatch):
     # term count k, so the norm guard has to fire
     bounds = two_flavor._spectral_bounds
 
-    def low(op, work):
-        lo, hi = bounds(op, work)
+    def low(op, work, grid):
+        lo, hi = bounds(op, work, grid)
         return lo, 0.8 * hi
 
     monkeypatch.setattr(two_flavor, "_spectral_bounds", low)
@@ -420,7 +420,7 @@ def test_spectral_bounds_enclose_exact_spectrum(grid64):
     exact = np.stack([0.5 * grid64.k2 + sign * a0 * grid64.kx_grad[:, None] + 0.5 * a0**2
                       for sign in (-1, +1)])
     work = KrylovWork()
-    lo, hi = two_flavor._spectral_bounds(op, work)
+    lo, hi = two_flavor._spectral_bounds(op, work, grid64)
     assert work.matvecs == two_flavor._BOUND_STEPS
     assert lo <= exact.min()
     assert exact.max() <= hi <= 1.01 * exact.max()
@@ -452,7 +452,7 @@ def test_spectral_bounds_enclose_dense_spectrum(grid16, l):
         h[:, j] = _apply(op, basis.reshape(phi.shape)).ravel()
         basis[j] = 0.0
     exact = np.linalg.eigvalsh(h)
-    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork(), grid16)
     assert lo <= exact[0]
     assert exact[-1] <= hi <= (1.0 + 1e-4) * exact[-1]
 
@@ -473,9 +473,9 @@ def test_spectral_bounds_agree_with_scipy_tridiagonal(grid64, vortex_background,
 
     seed, aq, veff, rho = vortex_background
     op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
-    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork(), grid64)
     monkeypatch.setattr(two_flavor, "eigh_tridiagonal", eigh_tridiagonal)
-    ref_lo, ref_hi = two_flavor._spectral_bounds(op, KrylovWork())
+    ref_lo, ref_hi = two_flavor._spectral_bounds(op, KrylovWork(), grid64)
     assert lo == ref_lo
     assert hi == pytest.approx(ref_hi, rel=1e-12)
 
@@ -594,7 +594,7 @@ def test_recurrence_leaves_its_start_and_yielded_states_alone(grid64, vortex_bac
     # while the recurrence runs on
     seed, aq, veff, rho = vortex_background
     op = two_flavor._FlavorOperator(grid64, aq, pair(veff))
-    lo, hi = two_flavor._spectral_bounds(op, KrylovWork())
+    lo, hi = two_flavor._spectral_bounds(op, KrylovWork(), grid64)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     op.rescale(mid, half)
     phi = np.stack([seed, np.conj(seed)])
